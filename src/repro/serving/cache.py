@@ -43,6 +43,7 @@ idle gaps.
 
 from __future__ import annotations
 
+import heapq
 import math
 import threading
 from collections import OrderedDict
@@ -149,10 +150,10 @@ class ResultCache:
                 self._evictions += 1
         return True
 
-    def contains(self, key: QueryKey) -> bool:
-        """Membership test with no stats side effects (for precompute)."""
+    def keys(self) -> frozenset[QueryKey]:
+        """Snapshot of the cached keys, no stats side effects (precompute)."""
         with self._lock:
-            return key in self._entries
+            return frozenset(self._entries)
 
     def retire_older_than(self, epoch: int) -> int:
         """Drop every entry stamped with a snapshot epoch < ``epoch``.
@@ -261,23 +262,22 @@ class HotPairTracker:
     ) -> list[QueryKey]:
         """The ``k`` hottest keys, hottest first, skipping ``exclude`` hits.
 
-        ``exclude`` is typically ``ResultCache.contains`` — precompute
-        should spend its budget on hot pairs that are *not* already
-        answered.
+        ``exclude`` is called once per tracked key, so pass a cheap
+        predicate — typically ``ResultCache.keys().__contains__``:
+        precompute should spend its budget on hot pairs that are *not*
+        already answered.
         """
         if k < 1:
             return []
-        ranked = sorted(
-            self._scores.items(), key=lambda item: (-item[1], item[0])
-        )
-        selected: list[QueryKey] = []
-        for key, _ in ranked:
-            if exclude is not None and exclude(key):
-                continue
-            selected.append(key)
-            if len(selected) == k:
-                break
-        return selected
+        # Filter, then heap-select the few survivors: no full sort of
+        # the table.  Keys are unique, so ``(-score, key)`` is a total
+        # order and the result matches a full sort exactly.
+        candidates = [
+            (-score, key)
+            for key, score in self._scores.items()
+            if exclude is None or not exclude(key)
+        ]
+        return [key for _, key in heapq.nsmallest(k, candidates)]
 
     def __len__(self) -> int:
         return len(self._scores)

@@ -314,6 +314,21 @@ class _WorkerHandle:
         self.ping_sent_at: float | None = None
 
 
+@dataclass
+class _PendingRefresh:
+    """A hot-pair refresh dealt to the pool and not yet harvested."""
+
+    #: Run epoch fencing the refresh's chunks.
+    epoch: int
+    #: Snapshot epoch at send time; harvested entries carry this stamp.
+    snapshot_epoch: int
+    #: Canonical keys, in wire order.
+    keys: list
+    #: Batch id -> worker slot, as returned by ``_deal``.
+    pending: dict
+    stats: list
+
+
 def _wire_query(query) -> tuple:
     """Normalize a Query / (s, t, F) triple to the pipe representation."""
     if isinstance(query, Query):
@@ -373,8 +388,9 @@ class QueryService:
     hot_pairs:
         When > 0 (requires ``cache_size > 0``), track workload skew
         with a :class:`~repro.serving.cache.HotPairTracker` and
-        precompute up to this many of the hottest uncached keys after
-        each run, while the pool is idle
+        precompute up to this many of the hottest uncached keys in the
+        idle gap between runs: each ``run()`` deals the refresh as it
+        returns and the next call harvests it
         (:meth:`refresh_hot_pairs`).
     deadline_ms:
         When set, arm :class:`~repro.serving.admission.
@@ -471,8 +487,9 @@ class QueryService:
         #: snapshot is retired (``swap_snapshot``), at which point every
         #: cache entry stamped with an older value is dead.
         self._snapshot_epoch = 1
-        #: Total answers precomputed by ``refresh_hot_pairs``.
-        self.precomputed_total = 0
+        #: The hot-pair refresh dealt but not yet harvested, if any.
+        self._refresh: _PendingRefresh | None = None
+        self._precomputed_total = 0
         self._poll_seconds = max(
             _MIN_POLL_SECONDS,
             min(_POLL_SECONDS, batch_timeout / 5.0, ping_timeout / 5.0),
@@ -490,7 +507,12 @@ class QueryService:
         return self
 
     def stop(self) -> None:
-        """Shut the pool down, terminating any unresponsive worker."""
+        """Shut the pool down, terminating any unresponsive worker.
+
+        A pending hot-pair refresh is dropped unharvested: its answers
+        are only a warm-up, never worth waiting on a worker for.
+        """
+        self._refresh = None
         for handle in self._pool:
             try:
                 handle.conn.send(("stop",))
@@ -610,7 +632,9 @@ class QueryService:
         cache without reaching a worker; with a deadline armed,
         queries beyond the feasible budget come back NaN under a
         ``"shed"`` status.  Cache hits are bitwise-identical to what a
-        worker would recompute under the current snapshot epoch.
+        worker would recompute under the current snapshot epoch.  With
+        ``hot_pairs`` on, the call first harvests the refresh the
+        previous call dealt, and deals the next one as it returns.
 
         Raises
         ------
@@ -622,6 +646,7 @@ class QueryService:
             fence discards any late results, so a subsequent ``run()``
             or ``stop()`` sees a consistent pool.
         """
+        self._settle_refresh()
         if not self._started:
             self.start()
         self._ensure_alive()
@@ -732,20 +757,14 @@ class QueryService:
         self._ring = ring
         try:
             if n_dispatch:
-                self._dispatch_epoch(
-                    epoch, compact_wire, n_dispatch, size, answers,
-                    latencies, errors, stats, metrics, sink,
+                pending = self._deal(epoch, compact_wire, size, stats)
+                self._collect(
+                    epoch, pending, answers, latencies, errors, stats,
+                    metrics, sink,
                 )
             if ring is not None:
                 answers[:] = answer_buf.tolist()
                 latencies[:] = latency_buf.tolist()
-        except BaseException:
-            # Leave the pool consistent: forget every in-flight chunk.
-            # The epoch fence makes any late results for them inert.
-            for handle in self._pool:
-                handle.outstanding.clear()
-                handle.ping_sent_at = None
-            raise
         finally:
             # The ring lives exactly one run: unlink it even on abort so
             # no segment can leak.  A straggling worker that still maps
@@ -802,9 +821,10 @@ class QueryService:
             precomputed_hits=precomputed_hits,
             shed_indices=shed_indices,
         )
-        # Idle-gap work: the batch is answered, the pool is quiet, the
-        # tracker has fresh skew evidence — warm the hottest uncached
-        # pairs now so the *next* run's hot traffic is a dict lookup.
+        # Idle-gap work: the batch is answered and the tracker has fresh
+        # skew evidence — deal the hottest uncached pairs to the idle
+        # pool now and return; the next call harvests the answers, so
+        # the *next* run's hot traffic is a dict lookup.
         if self._hot is not None:
             self.refresh_hot_pairs()
         return report
@@ -823,7 +843,10 @@ class QueryService:
         Every cached answer was computed under the old epoch and is now
         unservable: the epoch check in :meth:`ResultCache.get` refuses
         it lazily, and the eager sweep here returns the memory at once.
+        A pending hot-pair refresh is harvested first, under the epoch
+        it was dealt in, so the sweep retires its answers too.
         """
+        self._settle_refresh()
         self._snapshot_epoch += 1
         if self._cache is not None:
             self._cache.retire_older_than(self._snapshot_epoch)
@@ -837,6 +860,7 @@ class QueryService:
         old snapshot), and restarts the workers if they were running.
         Returns the new snapshot epoch.
         """
+        self._settle_refresh()
         was_started = self._started
         if was_started:
             self.stop()
@@ -847,23 +871,30 @@ class QueryService:
         return epoch
 
     def refresh_hot_pairs(self, limit: int | None = None) -> int:
-        """Precompute answers for the hottest uncached pairs.
+        """Deal the hottest uncached pairs to the pool for precompute.
 
-        Dispatches up to ``limit`` (default ``hot_pairs``) of the
-        tracker's hottest keys that have no live cache entry, and
-        stores their answers flagged *precomputed* — hits on them are
-        reported separately (``ServeReport.precomputed_hits``) so the
-        benefit of the refresh is measurable.  Runs over the pipe
-        result plane (the batches are tiny; a ring would cost more
-        than it saves).  Called automatically after each ``run()``
-        when ``hot_pairs > 0``; safe to call manually between runs.
+        Sends up to ``limit`` (default ``hot_pairs``) of the tracker's
+        hottest keys that have no live cache entry under a fresh run
+        epoch, and returns without waiting for the answers.  The next
+        ``run()``, ``refresh_hot_pairs()``, ``cache_stats()``,
+        ``precomputed_total`` or snapshot retirement harvests them into
+        the cache, flagged *precomputed* and stamped with the snapshot
+        epoch current at send time; hits on them are reported
+        separately (``ServeReport.precomputed_hits``) so the benefit of
+        the refresh is measurable.  Runs over the pipe result plane
+        (the batches are tiny; a ring would cost more than it saves).
+        Called automatically after each ``run()`` when
+        ``hot_pairs > 0``; safe to call manually between runs.
 
-        Returns the number of answers actually precomputed.
+        Returns the number of pairs dispatched.
         """
+        self._settle_refresh()
         if self._hot is None or self._cache is None or not self._started:
             return 0
         budget = self.hot_pairs if limit is None else limit
-        hot_keys = self._hot.top(budget, exclude=self._cache.contains)
+        hot_keys = self._hot.top(
+            budget, exclude=self._cache.keys().__contains__
+        )
         if not hot_keys:
             return 0
         wire = [
@@ -871,42 +902,54 @@ class QueryService:
             for source, target, failed in hot_keys
         ]
         self._epoch += 1
-        epoch = self._epoch
-        count = len(wire)
-        answers = [float("nan")] * count
-        latencies = [0.0] * count
-        errors: list[str | None] = [None] * count
         stats = [
             WorkerStats(index=handle.index, pid=handle.pid)
             for handle in self._pool
         ]
+        size = max(1, math.ceil(len(wire) / self.workers))
+        pending = self._deal(self._epoch, wire, size, stats)
+        self._refresh = _PendingRefresh(
+            self._epoch, self._snapshot_epoch, hot_keys, pending, stats
+        )
+        return len(hot_keys)
+
+    def _settle_refresh(self) -> None:
+        """Harvest the pending hot-pair refresh into the cache, if any.
+
+        Each answer is stamped with the snapshot epoch the refresh was
+        dealt under, never the one current at harvest: an answer
+        computed against a retired snapshot must stay unservable.
+        """
+        refresh, self._refresh = self._refresh, None
+        if refresh is None:
+            return
+        count = len(refresh.keys)
+        answers = [float("nan")] * count
+        errors: list[str | None] = [None] * count
         metrics = {
             "dispatch_seconds": 0.0, "pipe_bytes": 0, "result_batches": 0,
         }
-        size = max(1, math.ceil(count / self.workers))
-        try:
-            self._dispatch_epoch(
-                epoch, wire, count, size, answers, latencies,
-                errors, stats, metrics, None,
-            )
-        except BaseException:
-            for handle in self._pool:
-                handle.outstanding.clear()
-                handle.ping_sent_at = None
-            raise
-        stored = 0
-        for key, answer, message in zip(hot_keys, answers, errors):
+        self._collect(
+            refresh.epoch, refresh.pending, answers, [0.0] * count,
+            errors, refresh.stats, metrics,
+        )
+        for key, answer, message in zip(refresh.keys, answers, errors):
             if message is None and self._cache.put(
-                key, answer, self._snapshot_epoch, precomputed=True
+                key, answer, refresh.snapshot_epoch, precomputed=True
             ):
-                stored += 1
-        self.precomputed_total += stored
-        return stored
+                self._precomputed_total += 1
+
+    @property
+    def precomputed_total(self) -> int:
+        """Answers stored by hot-pair refreshes since construction."""
+        self._settle_refresh()
+        return self._precomputed_total
 
     def cache_stats(self) -> dict | None:
         """Snapshot of the result-cache counters; ``None`` if disabled."""
         if self._cache is None:
             return None
+        self._settle_refresh()
         return self._cache.stats()
 
     def admission_stats(self) -> dict | None:
@@ -921,154 +964,174 @@ class QueryService:
             return ("batch", batch_id, chunk)
         return ("batch", batch_id, chunk, self._ring.spec())
 
-    def _dispatch_epoch(
-        self, epoch, wire, total, size, answers, latencies, errors,
-        stats, metrics, sink=None,
-    ) -> None:
-        """Deal chunks for one epoch and collect until none are pending."""
-        pending: dict[tuple[int, int], int] = {}  # batch id -> worker slot
-        restarts_this_run = 0
-        seq = 0
-        for start in range(0, total, size):
-            chunk = wire[start : start + size]
-            slot = seq % self.workers
-            handle = self._pool[slot]
-            batch_id = (epoch, seq)
-            handle.outstanding[batch_id] = (start, chunk)
-            pending[batch_id] = slot
-            try:
-                handle.conn.send(self._batch_message(batch_id, chunk))
-            except (BrokenPipeError, OSError):
-                restarts_this_run += self._check_restart_budget(
-                    restarts_this_run
-                )
-                self._replace_and_requeue(handle, pending, stats)
-            else:
-                handle.last_progress = time.perf_counter()
-            seq += 1
+    def _deal(self, epoch, wire, size, stats) -> dict[tuple[int, int], int]:
+        """Send one epoch's chunks round-robin; return the pending map.
 
-        while pending:
-            conns = {
-                handle.conn: handle
-                for handle in self._pool
-                if handle.outstanding
-            }
-            ready = connection_wait(list(conns), timeout=self._poll_seconds)
-            now = time.perf_counter()
-            for conn in ready:
-                handle = conns[conn]
-                if handle is not self._pool[handle.index]:
-                    continue  # replaced earlier in this ready sweep
+        The map (batch id -> worker slot) is what :meth:`_collect`
+        waits on.  On any raise every in-flight chunk is forgotten.
+        """
+        pending: dict[tuple[int, int], int] = {}
+        try:
+            for seq, start in enumerate(range(0, len(wire), size)):
+                chunk = wire[start : start + size]
+                slot = seq % self.workers
+                handle = self._pool[slot]
+                batch_id = (epoch, seq)
+                handle.outstanding[batch_id] = (start, chunk)
+                pending[batch_id] = slot
                 try:
-                    # Raw bytes first: the OS wait stays *outside* the
-                    # dispatch-overhead window, which times only the
-                    # result-plane work (unpickle + ring memcpy/splice).
-                    payload_bytes = conn.recv_bytes()
-                except (EOFError, OSError):
-                    restarts_this_run += self._check_restart_budget(
-                        restarts_this_run
-                    )
+                    handle.conn.send(self._batch_message(batch_id, chunk))
+                except (BrokenPipeError, OSError):
+                    self._check_restart_budget(stats)
                     self._replace_and_requeue(handle, pending, stats)
-                    continue
-                tick = time.perf_counter()
-                message = pickle.loads(payload_bytes)
-                kind = message[0]
-                if kind == "error":
-                    raise RuntimeError(
-                        f"worker {handle.index}: {message[2]}"
-                    )
-                if kind == "pong":
-                    if handle.ping_sent_at is not None and handle.outstanding:
-                        # Alive but its results never arrived: re-send.
-                        self._resend_outstanding(handle)
-                    handle.ping_sent_at = None
-                    handle.last_progress = now
-                    continue
-                if kind not in ("result", "result_shm"):
-                    continue
-                batch_id = message[1]
-                # The epoch fence comes before any ring read: a stale
-                # completion (deferred from an aborted run) never even
-                # touches the current ring, and whatever the stale
-                # worker wrote went to the *previous* run's ring, which
-                # is already unlinked.
-                if batch_id[0] != epoch:
-                    continue  # stale epoch (aborted past run): drop
-                if batch_id not in handle.outstanding:
-                    continue  # duplicate after a re-send: drop
-                start, chunk = handle.outstanding[batch_id]
-                count = len(chunk)
-                if kind == "result_shm":
-                    busy = None
-                    if self._ring is not None:
-                        busy = self._ring.read_into(
-                            batch_id[1], epoch, batch_id[1], count,
-                            sink[0], sink[1], start,
-                        )
-                    if busy is None:
-                        # Bad or missing stamp: the answers never landed
-                        # (worker died mid-write, or a completion
-                        # arrived without a usable ring).  Treat the
-                        # result as lost — the deadline path re-sends.
-                        continue
-                    chunk_errors = message[4]
                 else:
-                    _, _, _, chunk_answers, chunk_latencies, busy, \
-                        chunk_errors = message
-                    count = len(chunk_answers)
-                    if sink is not None:
-                        # Worker-side pipe fallback inside an shm run:
-                        # land the lists in the typed buffers so the
-                        # end-of-run bulk boxing stays uniform.
-                        sink[0][start : start + count] = array(
-                            "d", chunk_answers
-                        )
-                        sink[1][start : start + count] = array(
-                            "d", chunk_latencies
-                        )
-                    else:
-                        answers[start : start + count] = chunk_answers
-                        latencies[start : start + count] = chunk_latencies
-                handle.outstanding.pop(batch_id)
-                pending.pop(batch_id, None)
-                handle.last_progress = now
-                handle.ping_sent_at = None
-                for position, message_text in chunk_errors:
-                    errors[start + position] = message_text
-                slot_stats = stats[handle.index]
-                slot_stats.queries += count
-                slot_stats.batches += 1
-                slot_stats.busy_seconds += busy
-                metrics["dispatch_seconds"] += time.perf_counter() - tick
-                metrics["pipe_bytes"] += len(payload_bytes)
-                metrics["result_batches"] += 1
+                    handle.last_progress = time.perf_counter()
+        except BaseException:
+            self._forget_in_flight()
+            raise
+        return pending
 
-            # Health sweep: silent deaths, deadlines, unanswered pings.
-            for handle in list(self._pool):
-                if not handle.outstanding:
-                    continue
-                if not handle.process.is_alive():
-                    restarts_this_run += self._check_restart_budget(
-                        restarts_this_run
-                    )
-                    self._replace_and_requeue(handle, pending, stats)
-                    continue
-                if handle.ping_sent_at is not None:
-                    if now - handle.ping_sent_at > self.ping_timeout:
-                        # Pinged and silent: hung inside a query.
-                        restarts_this_run += self._check_restart_budget(
-                            restarts_this_run
-                        )
-                        self._replace_and_requeue(handle, pending, stats)
-                elif now - handle.last_progress > self.batch_timeout:
+    def _collect(
+        self, epoch, pending, answers, latencies, errors, stats, metrics,
+        sink=None,
+    ) -> None:
+        """Collect ``epoch``'s results until none are pending.
+
+        On any raise every in-flight chunk is forgotten, so an aborted
+        collect never poisons the next dispatch.
+        """
+        try:
+            while pending:
+                conns = {
+                    handle.conn: handle
+                    for handle in self._pool
+                    if handle.outstanding
+                }
+                ready = connection_wait(
+                    list(conns), timeout=self._poll_seconds
+                )
+                now = time.perf_counter()
+                for conn in ready:
+                    handle = conns[conn]
+                    if handle is not self._pool[handle.index]:
+                        continue  # replaced earlier in this ready sweep
                     try:
-                        handle.conn.send(("ping",))
-                        handle.ping_sent_at = now
-                    except (BrokenPipeError, OSError):
-                        restarts_this_run += self._check_restart_budget(
-                            restarts_this_run
-                        )
+                        # Raw bytes first: the OS wait stays *outside* the
+                        # dispatch-overhead window, which times only the
+                        # result-plane work (unpickle + ring memcpy/splice).
+                        payload_bytes = conn.recv_bytes()
+                    except (EOFError, OSError):
+                        self._check_restart_budget(stats)
                         self._replace_and_requeue(handle, pending, stats)
+                        continue
+                    tick = time.perf_counter()
+                    message = pickle.loads(payload_bytes)
+                    kind = message[0]
+                    if kind == "error":
+                        raise RuntimeError(
+                            f"worker {handle.index}: {message[2]}"
+                        )
+                    if kind == "pong":
+                        if (
+                            handle.ping_sent_at is not None
+                            and handle.outstanding
+                        ):
+                            # Alive but its results never arrived: re-send.
+                            self._resend_outstanding(handle)
+                        handle.ping_sent_at = None
+                        handle.last_progress = now
+                        continue
+                    if kind not in ("result", "result_shm"):
+                        continue
+                    batch_id = message[1]
+                    # The epoch fence comes before any ring read: a stale
+                    # completion (deferred from an aborted run) never even
+                    # touches the current ring, and whatever the stale
+                    # worker wrote went to the *previous* run's ring, which
+                    # is already unlinked.
+                    if batch_id[0] != epoch:
+                        continue  # stale epoch (aborted past run): drop
+                    if batch_id not in handle.outstanding:
+                        continue  # duplicate after a re-send: drop
+                    start, chunk = handle.outstanding[batch_id]
+                    count = len(chunk)
+                    if kind == "result_shm":
+                        busy = None
+                        if self._ring is not None:
+                            busy = self._ring.read_into(
+                                batch_id[1], epoch, batch_id[1], count,
+                                sink[0], sink[1], start,
+                            )
+                        if busy is None:
+                            # Bad or missing stamp: the answers never landed
+                            # (worker died mid-write, or a completion
+                            # arrived without a usable ring).  Treat the
+                            # result as lost — the deadline path re-sends.
+                            continue
+                        chunk_errors = message[4]
+                    else:
+                        _, _, _, chunk_answers, chunk_latencies, busy, \
+                            chunk_errors = message
+                        count = len(chunk_answers)
+                        if sink is not None:
+                            # Worker-side pipe fallback inside an shm run:
+                            # land the lists in the typed buffers so the
+                            # end-of-run bulk boxing stays uniform.
+                            sink[0][start : start + count] = array(
+                                "d", chunk_answers
+                            )
+                            sink[1][start : start + count] = array(
+                                "d", chunk_latencies
+                            )
+                        else:
+                            answers[start : start + count] = chunk_answers
+                            latencies[start : start + count] = chunk_latencies
+                    handle.outstanding.pop(batch_id)
+                    pending.pop(batch_id, None)
+                    handle.last_progress = now
+                    handle.ping_sent_at = None
+                    for position, message_text in chunk_errors:
+                        errors[start + position] = message_text
+                    slot_stats = stats[handle.index]
+                    slot_stats.queries += count
+                    slot_stats.batches += 1
+                    slot_stats.busy_seconds += busy
+                    metrics["dispatch_seconds"] += time.perf_counter() - tick
+                    metrics["pipe_bytes"] += len(payload_bytes)
+                    metrics["result_batches"] += 1
+
+                # Health sweep: silent deaths, deadlines, unanswered pings.
+                for handle in list(self._pool):
+                    if not handle.outstanding:
+                        continue
+                    if not handle.process.is_alive():
+                        self._check_restart_budget(stats)
+                        self._replace_and_requeue(handle, pending, stats)
+                        continue
+                    if handle.ping_sent_at is not None:
+                        if now - handle.ping_sent_at > self.ping_timeout:
+                            # Pinged and silent: hung inside a query.
+                            self._check_restart_budget(stats)
+                            self._replace_and_requeue(handle, pending, stats)
+                    elif now - handle.last_progress > self.batch_timeout:
+                        try:
+                            handle.conn.send(("ping",))
+                            handle.ping_sent_at = now
+                        except (BrokenPipeError, OSError):
+                            self._check_restart_budget(stats)
+                            self._replace_and_requeue(handle, pending, stats)
+        except BaseException:
+            self._forget_in_flight()
+            raise
+
+    def _forget_in_flight(self) -> None:
+        """Leave the pool consistent after an abort: drop every chunk.
+
+        The epoch fence makes any late results for them inert.
+        """
+        for handle in self._pool:
+            handle.outstanding.clear()
+            handle.ping_sent_at = None
 
     def _resend_outstanding(self, handle: _WorkerHandle) -> None:
         """Re-send a responsive worker's outstanding chunks (lost results)."""
@@ -1091,12 +1154,15 @@ class QueryService:
         slot_stats.pid = replacement.pid
         slot_stats.load_seconds += replacement.load_seconds
 
-    def _check_restart_budget(self, restarts_this_run: int) -> int:
-        """Increment-or-raise: returns 1 while under budget."""
-        if restarts_this_run + 1 > self.max_restarts:
+    def _check_restart_budget(self, stats: list[WorkerStats]) -> None:
+        """Raise once one more replacement would exceed ``max_restarts``.
+
+        ``stats`` are the dispatch's slot stats, whose ``restarts``
+        count every replacement made so far in this dispatch.
+        """
+        if sum(s.restarts for s in stats) + 1 > self.max_restarts:
             self.stop()
             raise RuntimeError(
                 f"exceeded {self.max_restarts} worker restarts in one run; "
                 f"snapshot {self.snapshot_path!r} appears to crash workers"
             )
-        return 1

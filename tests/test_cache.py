@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.oracle.adiso import ADISO
 from repro.oracle.adiso_p import ADISOPartial
@@ -31,6 +33,7 @@ from repro.oracle.diso_s import DISOSparse
 from repro.oracle.snapshot import save_snapshot
 from repro.serving import (
     DeadlineAdmission,
+    FaultPlan,
     HotPairTracker,
     QueryService,
     ResultCache,
@@ -192,6 +195,34 @@ class TestHotPairTracker:
         for node in range(1000):
             tracker.observe(canonical_query_key(node, 0, None))
         assert len(tracker) <= 16
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # A small key space makes equal scores (ties) the common case.
+        observed=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(0, 3),
+                st.sampled_from([None, ((1, 2),), ((0, 1), (2, 3))]),
+            ),
+            max_size=60,
+        ),
+        excluded=st.sets(st.integers(0, 15), max_size=16),
+        k=st.integers(0, 12),
+    )
+    def test_top_matches_full_sort_reference(self, observed, excluded, k):
+        # No aging inside the sequence: scores are plain counts.
+        tracker = HotPairTracker(decay_every=10_000)
+        counts: dict = {}
+        for source, target, failed in observed:
+            key = canonical_query_key(source, target, failed)
+            tracker.observe(key)
+            counts[key] = counts.get(key, 0) + 1
+        skip = {key for key in counts if 4 * key[0] + key[1] in excluded}
+        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        survivors = [key for key, _ in ranked if key not in skip]
+        assert tracker.top(k, exclude=skip.__contains__) == survivors[:k]
+        assert tracker.top(k) == [key for key, _ in ranked][:k]
 
 
 # ----------------------------------------------------------------------
@@ -382,9 +413,8 @@ def test_hot_pair_precompute_serves_next_run(tmp_path):
         first = service.run(batch)
         # Within-batch dedup: 5 duplicate hot queries hit immediately.
         assert first.cache_hits >= 5
-        # After the run the tracker refreshed hot pairs; everything in
-        # the batch is cached, so a cold *distinct* pair drawn from the
-        # tracker would have been warmed.  Warm run: all hits.
+        # Every key in the batch is cached, so the refresh dealt after
+        # the run finds nothing uncached to warm.  Warm run: all hits.
         warm = service.run(batch)
         assert warm.cache_hits == len(batch)
         stats = service.cache_stats()
@@ -474,3 +504,120 @@ def test_stats_accessors_none_when_disabled(tmp_path):
         service.run(generate_queries(graph, 4, f_gen=1, p=0.0, seed=1))
         assert service.cache_stats() is None
         assert service.admission_stats() is None
+
+
+# ----------------------------------------------------------------------
+# Off-path refresh: dealt as run() returns, harvested at the next call
+# ----------------------------------------------------------------------
+def _pending_refresh_setup(tmp_path, seed):
+    """A graph, its frozen DISO on disk, a distinct batch, and a hot
+    query absent from the batch (so a run's refresh must deal it)."""
+    graph = random_graph(seed, n=30, extra=60)
+    frozen = DISO(graph, tau=3).freeze()
+    path = save_snapshot(frozen, tmp_path / "o.dsosnap")
+    nodes = sorted(graph.nodes())
+    batch = [(nodes[0], nodes[i], None) for i in range(1, 5)]
+    hot_query = (nodes[2], nodes[9], None)
+    return graph, frozen, path, batch, hot_query
+
+
+def _make_hot(service, query, times: int = 8) -> None:
+    key = canonical_query_key(*query)
+    for _ in range(times):
+        service._hot.observe(key)
+
+
+def test_pending_refresh_never_outlives_its_snapshot_epoch(tmp_path):
+    """A refresh dealt under one snapshot and still pending at a swap
+    must never serve (or even leave cached) an answer of the retired
+    snapshot: harvested answers carry the epoch they were computed
+    under, never the one current at harvest."""
+    from repro.graph.digraph import DiGraph
+
+    graph_a, frozen_a, path_a, batch, hot_query = _pending_refresh_setup(
+        tmp_path, 51
+    )
+    graph_b = DiGraph()
+    for tail, head, weight in graph_a.edges():
+        graph_b.add_edge(tail, head, weight * 3.0 + 1.0)
+    frozen_b = DISO(graph_b, tau=3).freeze()
+    path_b = save_snapshot(frozen_b, tmp_path / "b.dsosnap")
+    queries = batch + [hot_query]
+    expected_b = [frozen_b.query(s, t, f) for s, t, f in queries]
+    assert expected_b != [frozen_a.query(s, t, f) for s, t, f in queries]
+    with make_service(
+        path_a, workers=2, cache_size=64, hot_pairs=2
+    ) as service:
+        _make_hot(service, hot_query)
+        service.run(batch)
+        assert service._refresh is not None  # dealt, not yet harvested
+        retired = service.snapshot_epoch
+        new_epoch = service.swap_snapshot(path_b)
+        assert retired not in service._cache.entry_epochs()
+        # The swap harvested the refresh before retiring its epoch.
+        assert service.precomputed_total == 1
+        report = service.run(queries)
+        assert report.answers == expected_b
+        assert report.precomputed_hits == 0
+        assert retired not in service._cache.entry_epochs()
+        assert service._cache.entry_epochs() <= {new_epoch}
+
+
+def test_refresh_hang_stays_off_the_request_path(tmp_path):
+    """A refresh query that hangs its worker cannot delay the run that
+    dealt it; the next run replaces the worker, harvests the answer,
+    and serves it as a precomputed hit."""
+    _, frozen, path, batch, hot_query = _pending_refresh_setup(tmp_path, 53)
+    # The worker's first len(batch) queries are the batch; the next is
+    # the refresh's hot query.
+    plan = FaultPlan.single("hang", at=len(batch) + 1, worker=0)
+    batch_timeout = 1.0
+    with make_service(
+        path, workers=1, cache_size=64, hot_pairs=1, fault_plan=plan,
+        batch_timeout=batch_timeout, ping_timeout=0.5,
+    ) as service:
+        _make_hot(service, hot_query)
+        tick = time.perf_counter()
+        first = service.run(batch)
+        # Waiting on the refresh would cost at least the batch timeout
+        # before the hung worker is even pinged.
+        assert time.perf_counter() - tick < batch_timeout
+        assert first.errors == [None] * len(batch)
+        report = service.run([hot_query])
+        assert report.answers == [frozen.query(*hot_query)]
+        assert report.precomputed_hits == 1
+        assert service.total_restarts == 1
+
+
+def test_worker_crash_during_pending_refresh(tmp_path):
+    _, frozen, path, batch, hot_query = _pending_refresh_setup(tmp_path, 55)
+    plan = FaultPlan.single("crash", at=len(batch) + 1, worker=0)
+    with make_service(
+        path, workers=1, cache_size=64, hot_pairs=1, fault_plan=plan,
+    ) as service:
+        _make_hot(service, hot_query)
+        service.run(batch)
+        restarts = service.total_restarts
+        queries = [hot_query] + batch
+        report = service.run(queries)
+        assert report.answers == [frozen.query(*q) for q in queries]
+        assert report.precomputed_hits == 1
+        assert service.total_restarts == restarts + 1
+        assert not any(
+            math.isnan(answer)
+            for answer, _, _ in service._cache._entries.values()
+        )
+
+
+def test_stop_drops_a_pending_refresh(tmp_path):
+    _, _, path, batch, hot_query = _pending_refresh_setup(tmp_path, 57)
+    with make_service(
+        path, workers=1, cache_size=64, hot_pairs=1
+    ) as service:
+        _make_hot(service, hot_query)
+        service.run(batch)
+        assert service._refresh is not None
+        service.stop()
+        assert service.precomputed_total == 0
+        assert service.total_restarts == 0
+        assert service.cache_stats()["inserts"] == len(batch)

@@ -650,12 +650,13 @@ def _run_serve_bench(args) -> int:
         )
 
     oracle = load_snapshot(args.snapshot_file)
+    # The generators search the graph for on-path failures, so they
+    # take a DiGraph; the loaded engine itself only holds the CSR.
+    graph = oracle.frozen.to_digraph()
     if args.workload == "zipf":
-        queries = generate_zipf_queries(
-            oracle.graph, args.queries, seed=args.seed
-        )
+        queries = generate_zipf_queries(graph, args.queries, seed=args.seed)
     else:
-        queries = generate_queries(oracle.graph, args.queries, seed=args.seed)
+        queries = generate_queries(graph, args.queries, seed=args.seed)
 
     import time
 

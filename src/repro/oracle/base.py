@@ -135,20 +135,27 @@ class DistanceSensitivityOracle(abc.ABC):
             raise QueryError(f"target node {target!r} is failed")
         edge_failures: set[Edge] = set(failed) if failed else set()
         for node in failed_nodes:
-            if not self.graph.has_node(node):
-                continue
-            for head in self.graph.successors(node):
-                edge_failures.add((node, head))
-            for tail in self.graph.predecessors(node):
-                edge_failures.add((tail, node))
+            if self._has_node(node):
+                edge_failures.update(self._incident_edges(node))
         return self.query(source, target, edge_failures)
 
     def _validate_endpoints(self, source: int, target: int) -> None:
         """Shared endpoint validation for all oracles."""
-        if not self.graph.has_node(source):
+        if not self._has_node(source):
             raise QueryError(f"source node {source!r} is not in the graph")
-        if not self.graph.has_node(target):
+        if not self._has_node(target):
             raise QueryError(f"target node {target!r} is not in the graph")
+
+    def _has_node(self, node: int) -> bool:
+        """Whether ``node`` is in the graph this oracle answers on."""
+        return self.graph.has_node(node)
+
+    def _incident_edges(self, node: int) -> list[Edge]:
+        """Every edge out of and into ``node`` (a node of the graph)."""
+        graph = self.graph
+        return [(node, head) for head in graph.successors(node)] + [
+            (tail, node) for tail in graph.predecessors(node)
+        ]
 
     # ------------------------------------------------------------------
     # Sizing (Table 6)

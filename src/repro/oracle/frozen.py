@@ -62,7 +62,10 @@ class FrozenDISO(DistanceSensitivityOracle):
 
     Built via ``DISO.freeze()`` (also from DISO-S, whose sparsified
     overlay and Dijkstra fallback are preserved).  The source oracle's
-    index is compiled once; the source itself is not retained.
+    index is compiled once; the source itself is not retained — not
+    even its live graph.  Endpoint checks and node-failure expansion
+    read the engine's own :class:`FrozenGraph`, so later maintenance
+    of the source oracle never leaks into a frozen engine's answers.
 
     Parameters
     ----------
@@ -82,7 +85,6 @@ class FrozenDISO(DistanceSensitivityOracle):
         oracle,
         fallback_graph: DiGraph | None = None,
     ) -> None:
-        super().__init__(oracle.graph)
         started = time.perf_counter()
         self.name = f"{oracle.name}-F"
         self.exact = oracle.exact
@@ -105,7 +107,6 @@ class FrozenDISO(DistanceSensitivityOracle):
     @classmethod
     def _restore(
         cls,
-        graph: DiGraph,
         frozen: FrozenGraph,
         index: FrozenIndex,
         fallback: FrozenGraph | None,
@@ -122,7 +123,6 @@ class FrozenDISO(DistanceSensitivityOracle):
         wires the finished parts together.
         """
         oracle = cls.__new__(cls)
-        DistanceSensitivityOracle.__init__(oracle, graph)
         oracle.name = name
         oracle.exact = exact
         oracle.frozen = frozen
@@ -132,6 +132,21 @@ class FrozenDISO(DistanceSensitivityOracle):
         oracle.freeze_seconds = freeze_seconds
         oracle.preprocess_seconds = preprocess_seconds
         return oracle
+
+    def _has_node(self, node: int) -> bool:
+        return node in self.frozen.index_of
+
+    def _incident_edges(self, node: int) -> list[Edge]:
+        frozen = self.frozen
+        return [(node, head) for head, _ in frozen.successors(node)] + [
+            (tail, node) for tail, _ in frozen.predecessors(node)
+        ]
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(nodes={self.frozen.number_of_nodes()}, "
+            f"edges={self.frozen.number_of_edges()})"
+        )
 
     # ------------------------------------------------------------------
     # Arenas

@@ -6,9 +6,11 @@ distance-graph rows, landmark tables.  This module serializes exactly
 those buffers into a versioned binary container so a serving fleet can
 ``mmap`` one file from every worker process: the kernel shares the
 read-only pages across processes, nothing is pickled, and per-worker
-startup is bounded by rebuilding the small Python-object views (dicts
-and adjacency tuples) over the mapped storage, never by re-running
-preprocessing or ``freeze()``.
+startup is bounded by rebuilding the Python-object views the query
+paths iterate (see :func:`load_snapshot`), never by re-running
+preprocessing or ``freeze()``.  No mutable :class:`DiGraph` is
+rebuilt: restored engines check endpoints and expand node failures
+against their own CSR, exactly as engines fresh from ``freeze()`` do.
 
 Layout (DESIGN.md §7)::
 
@@ -452,9 +454,13 @@ def load_snapshot(
 
     The heavyweight storage (CSR buffers, preorder trees, overlay rows,
     landmark tables) stays backed by the mapping — shared read-only
-    across every process that loads the same file.  Only the derived
-    Python-object views (adjacency tuples, rank dicts, the inverted
-    index) are rebuilt, in one linear pass, never per query.
+    across every process that loads the same file.  What is rebuilt, in
+    one linear pass and never per query, is the Python-object views the
+    query paths iterate: the CSR's label index, edge-id dict and forward
+    and reverse adjacency tuples, the overlay rows, each tree's
+    ``edge_pos`` and ``pos_of`` dicts, and the inverted index.  No
+    :class:`DiGraph` is built: the engine validates endpoints and
+    expands node failures against its own CSR.
 
     Parameters
     ----------
@@ -479,7 +485,6 @@ def load_snapshot(
         else None
     )
     parts = dict(
-        graph=frozen.to_digraph(),
         frozen=frozen,
         index=index,
         fallback=fallback,

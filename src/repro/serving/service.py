@@ -338,6 +338,46 @@ def _wire_query(query) -> tuple:
     return (source, target, tuple(failed) if failed else None)
 
 
+def _reap(handles: Sequence[_WorkerHandle]) -> None:
+    """Terminate and join launched workers; close their pipes."""
+    for handle in handles:
+        handle.conn.close()
+        if handle.process.is_alive():
+            handle.process.terminate()
+    for handle in handles:
+        handle.process.join(timeout=5.0)
+
+
+def _start_pools(services: Sequence["QueryService"]) -> None:
+    """Start the stopped pools among ``services`` together.
+
+    Launches every worker of every pool first and only then waits for
+    each to report ready, so the snapshot loads overlap.  If any worker
+    fails, every worker launched here is terminated and joined, every
+    pool touched is left stopped, and the error propagates.
+    """
+    launched: list[tuple[QueryService, list[_WorkerHandle]]] = []
+    try:
+        for service in services:
+            if service._started:
+                continue
+            handles: list[_WorkerHandle] = []
+            launched.append((service, handles))
+            for index in range(service.workers):
+                handles.append(service._launch(index))
+        for service, handles in launched:
+            for handle in handles:
+                service._await_ready(handle)
+            service._pool = handles
+            service._started = True
+    except BaseException:
+        for service, handles in launched:
+            service._pool = []
+            service._started = False
+            _reap(handles)
+        raise
+
+
 class QueryService:
     """A process pool serving DISO/ADISO queries from one snapshot.
 
@@ -499,11 +539,12 @@ class QueryService:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "QueryService":
-        """Spawn the pool; blocks until every worker mapped the snapshot."""
-        if self._started:
-            return self
-        self._pool = [self._spawn(index) for index in range(self.workers)]
-        self._started = True
+        """Spawn the pool; blocks until every worker mapped the snapshot.
+
+        The loads overlap, so this costs about one load (see
+        :func:`_start_pools`, also for the failure contract).
+        """
+        _start_pools([self])
         return self
 
     def stop(self) -> None:
@@ -533,7 +574,8 @@ class QueryService:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def _spawn(self, index: int) -> _WorkerHandle:
+    def _launch(self, index: int) -> _WorkerHandle:
+        """Start worker ``index``'s process; do not wait for it."""
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
@@ -549,27 +591,48 @@ class QueryService:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(_READY_TIMEOUT):
-            process.terminate()
-            raise RuntimeError(
-                f"worker {index} did not become ready within "
-                f"{_READY_TIMEOUT:.0f}s"
-            )
-        message = parent_conn.recv()
-        if message[0] == "error":
-            process.join(timeout=5.0)
-            raise RuntimeError(
-                f"worker {index} failed to load snapshot "
-                f"{self.snapshot_path!r}: {message[2]}"
-            )
-        info = message[2]
         return _WorkerHandle(
             index=index,
             process=process,
             conn=parent_conn,
-            load_seconds=info.get("load_seconds", 0.0),
-            pid=info.get("pid", process.pid or 0),
+            load_seconds=0.0,
+            pid=process.pid or 0,
         )
+
+    def _await_ready(self, handle: _WorkerHandle) -> _WorkerHandle:
+        """Wait for a launched worker to map the snapshot.
+
+        Raises ``RuntimeError`` if it reports a load error or stays
+        silent past the ready timeout; the caller reaps the process.
+        """
+        if not handle.conn.poll(_READY_TIMEOUT):
+            raise RuntimeError(
+                f"worker {handle.index} did not become ready within "
+                f"{_READY_TIMEOUT:.0f}s"
+            )
+        try:
+            message = handle.conn.recv()
+        except EOFError:
+            message = ("error", handle.index, "exited before reporting")
+        if message[0] == "error":
+            raise RuntimeError(
+                f"worker {handle.index} failed to load snapshot "
+                f"{self.snapshot_path!r}: {message[2]}"
+            )
+        info = message[2]
+        handle.load_seconds = info.get("load_seconds", 0.0)
+        handle.pid = info.get("pid", handle.pid)
+        handle.last_progress = time.perf_counter()
+        return handle
+
+    def _spawn(self, index: int) -> _WorkerHandle:
+        """Launch one worker and wait until it is ready."""
+        handle = self._launch(index)
+        try:
+            return self._await_ready(handle)
+        except BaseException:
+            _reap([handle])
+            raise
 
     def _replace(self, handle: _WorkerHandle) -> _WorkerHandle:
         """Spawn a replacement and re-dispatch the dead worker's chunks."""

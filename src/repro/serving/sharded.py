@@ -66,7 +66,12 @@ from collections.abc import Sequence
 from repro.oracle.parallel import latency_percentile
 from repro.serving.admission import DeadlineAdmission
 from repro.serving.cache import ResultCache, canonical_query_key
-from repro.serving.service import QueryService, ServeReport, _wire_query
+from repro.serving.service import (
+    QueryService,
+    ServeReport,
+    _start_pools,
+    _wire_query,
+)
 from repro.serving.worker import QUERY_ERROR
 from repro.sharding.frozen_overlay import HAVE_NUMPY
 from repro.sharding.oracle import INFINITY, stitch_over_borders
@@ -232,9 +237,12 @@ class ShardedQueryService:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ShardedQueryService":
-        """Start every shard pool (lazy on first ``run()`` otherwise)."""
-        for service in self._services:
-            service.start()
+        """Start every shard pool (lazy on first ``run()`` otherwise).
+
+        All shards' workers load at once, so this costs about one shard
+        load; on any failure none is left running (``_start_pools``).
+        """
+        _start_pools(self._services)
         self._started = True
         return self
 
@@ -398,10 +406,7 @@ class ShardedQueryService:
         planes.
         """
         started = time.perf_counter()
-        for service in self._services:
-            if not service._started:
-                service.start()
-        self._started = True
+        self.start()
         wire = [_wire_query(query) for query in queries]
         total = len(wire)
         assignment = self.overlay.assignment

@@ -53,6 +53,7 @@ deterministically (see :mod:`repro.serving.faults`).
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
@@ -127,6 +128,10 @@ def worker_main(
 
         injector = FaultInjector(fault_plan, worker_id, generation)
 
+    # The load allocates a few hundred thousand long-lived objects and
+    # frees almost none, so collections during it are pure overhead.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         started = time.perf_counter()
         oracle = load_snapshot(snapshot_path)
@@ -137,6 +142,13 @@ def worker_main(
         finally:
             conn.close()
         return
+    finally:
+        if collecting:
+            gc.enable()
+    # The loaded index is immutable for this worker's whole life: move
+    # it out of the collector's generations so no later collection
+    # walks it again.
+    gc.freeze()
 
     conn.send(
         (

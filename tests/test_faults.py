@@ -23,6 +23,7 @@ import os
 import pytest
 
 from repro.oracle.diso import DISO
+from repro.oracle.maintenance import OracleMaintainer
 from repro.oracle.snapshot import save_snapshot
 from repro.serving import (
     FaultInjector,
@@ -203,6 +204,31 @@ class TestCrashFaults:
             assert service.total_restarts == 1
         finally:
             service.stop()
+
+
+class TestCrashAfterSwap:
+    def test_crash_on_first_batch_after_swap_is_replaced(
+        self, served, tmp_path
+    ):
+        """The swapped-in pool carries the fault plan, and a worker it
+        loses on its first batch is replaced onto the new snapshot."""
+        graph, _, path, batch, _ = served
+        oracle = DISO(graph, tau=3)
+        OracleMaintainer(oracle).change_weight(
+            *sorted(graph.edges())[0][:2], 0.05
+        )
+        updated = oracle.freeze()
+        swapped = save_snapshot(updated, tmp_path / "updated.dsosnap")
+        expected = [updated.query(q.source, q.target, q.failed) for q in batch]
+        plan = FaultPlan.single("crash", at=1, worker=0)
+        with make_service(path, workers=2, fault_plan=plan) as service:
+            service.swap_snapshot(swapped)
+            report = service.run(batch)
+            assert report.answers == expected
+            assert report.error_count == 0
+            assert report.restarts == 1
+            assert service.total_restarts == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestPoisonFaults:

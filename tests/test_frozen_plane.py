@@ -17,11 +17,15 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.exceptions import QueryError
 from repro.graph.csr import FrozenGraph, SearchArena, csr_dijkstra
+from repro.graph.digraph import DiGraph
 from repro.oracle.adiso import ADISO
 from repro.oracle.diso import DISO
 from repro.oracle.diso_s import DISOSparse
 from repro.oracle.frozen import FrozenADISO, FrozenDISO
+from repro.oracle.maintenance import OracleMaintainer
+from repro.oracle.snapshot import load_snapshot, save_snapshot
 from repro.oracle.parallel import QueryEngine
 from repro.pathing.bounded import bounded_dijkstra
 from repro.pathing.csr_bounded import csr_bounded_dijkstra
@@ -185,6 +189,74 @@ class TestFrozenDISOParity:
         assert frozen.exact
         assert frozen.freeze_seconds > 0.0
         assert frozen.preprocess_seconds >= oracle.preprocess_seconds
+
+
+class TestFrozenEngineOwnsItsGraph:
+    """Frozen engines answer from their own CSR, never a live graph."""
+
+    @staticmethod
+    def _diamond() -> DiGraph:
+        graph = DiGraph()
+        for tail, head, weight in [
+            (0, 1, 1.0), (1, 2, 1.0), (0, 3, 5.0), (3, 2, 5.0),
+            (2, 0, 1.0), (3, 0, 1.0), (2, 3, 1.0),
+        ]:
+            graph.add_edge(tail, head, weight)
+        return graph
+
+    def test_maintaining_the_source_leaves_node_failures_alone(self):
+        oracle = DISO(self._diamond(), tau=2)
+        frozen = oracle.freeze()
+        assert frozen.query_avoiding_nodes(0, 2, {1}) == 10.0
+        maintainer = OracleMaintainer(oracle)
+        maintainer.delete_edge(0, 1)
+        maintainer.delete_edge(1, 2)
+        # Node 1's incident edges come from the frozen CSR, which still
+        # holds 0->1 and 1->2; a live-graph expansion would miss both
+        # and route through the failed node (2.0).
+        assert frozen.query_avoiding_nodes(0, 2, {1}) == 10.0
+        assert not hasattr(frozen, "graph")
+
+    def test_snapshot_engine_matches_in_memory_on_node_failures(
+        self, tmp_path
+    ):
+        graph = random_graph(11)
+        for oracle in (
+            DISO(graph, tau=3, theta=1.0),
+            ADISO(graph, tau=3, theta=1.0, seed=11),
+        ):
+            frozen = oracle.freeze()
+            loaded = load_snapshot(
+                save_snapshot(frozen, tmp_path / f"{oracle.name}.dsosnap")
+            )
+            assert not hasattr(loaded, "graph")
+            rng = random.Random(5)
+            nodes = sorted(graph.nodes())
+            for _ in range(25):
+                source, target = rng.sample(nodes, 2)
+                others = [n for n in nodes if n not in (source, target)]
+                failed_nodes = set(rng.sample(others, rng.randint(0, 3)))
+                # An unknown failed node names no edge; both skip it.
+                failed_nodes.add(10_000)
+                expected = frozen.query_avoiding_nodes(
+                    source, target, failed_nodes
+                )
+                assert loaded.query_avoiding_nodes(
+                    source, target, failed_nodes
+                ) == expected
+            for engine in (frozen, loaded):
+                with pytest.raises(QueryError):
+                    engine.query_avoiding_nodes(10_000, nodes[0], set())
+                with pytest.raises(QueryError):
+                    engine.query_avoiding_nodes(nodes[0], 10_000, set())
+                with pytest.raises(QueryError):
+                    engine.query_avoiding_nodes(
+                        nodes[0], nodes[1], {nodes[0]}
+                    )
+                with pytest.raises(QueryError):
+                    engine.query_avoiding_nodes(
+                        nodes[0], nodes[1], {nodes[1]}
+                    )
 
 
 class TestFrozenADISOParity:

@@ -16,12 +16,14 @@ multiprocessing start method — CI runs this file under both.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import time
 
 import pytest
 
 from repro.oracle.diso import DISO
+from repro.oracle.maintenance import OracleMaintainer
 from repro.oracle.parallel import (
     QueryEngine,
     ThroughputReport,
@@ -29,6 +31,9 @@ from repro.oracle.parallel import (
 )
 from repro.oracle.snapshot import save_snapshot
 from repro.serving import QueryService
+from repro.serving.service import _WorkerHandle
+from repro.serving.sharded import ShardedQueryService
+from repro.sharding import build_sharded, save_sharded_snapshot
 from repro.workload.queries import generate_queries
 from util import random_failures_from, random_graph
 
@@ -179,6 +184,115 @@ class TestQueryService:
         assert report.statuses[5] == "error"
         clean = [a for i, a in enumerate(report.answers) if i != 5]
         assert clean == expected
+
+
+def corrupt_copy(source, target):
+    """Copy a snapshot with one payload byte flipped (CRC mismatch)."""
+    raw = bytearray(source.read_bytes())
+    raw[-3] ^= 0xFF
+    target.write_bytes(bytes(raw))
+    return target
+
+
+def record_live_workers_at_ready(monkeypatch) -> list[int]:
+    """Count live worker processes each time a worker is waited on."""
+    seen: list[int] = []
+    await_ready = QueryService._await_ready
+
+    def recording(service, handle: _WorkerHandle) -> _WorkerHandle:
+        seen.append(len(multiprocessing.active_children()))
+        return await_ready(service, handle)
+
+    monkeypatch.setattr(QueryService, "_await_ready", recording)
+    return seen
+
+
+class TestPoolLifecycle:
+    """Concurrent start, and what a failed start or swap leaves behind."""
+
+    def test_start_launches_every_worker_before_waiting(
+        self, served, monkeypatch
+    ):
+        _, _, path, batch, expected = served
+        seen = record_live_workers_at_ready(monkeypatch)
+        with make_service(path, workers=3) as service:
+            assert seen[0] == 3
+            assert service.run(batch).answers == expected
+
+    def test_corrupt_snapshot_start_leaves_no_process(self, served, tmp_path):
+        _, _, path, _, _ = served
+        bad = corrupt_copy(path, tmp_path / "bad.dsosnap")
+        service = make_service(bad, workers=3)
+        with pytest.raises(RuntimeError, match="failed to load"):
+            service.start()
+        assert multiprocessing.active_children() == []
+        assert service._pool == [] and not service._started
+
+    def test_swap_to_corrupt_file_then_to_good_file(self, tmp_path):
+        graph = random_graph(11, n=40, extra=90)
+        oracle = DISO(graph, tau=3)
+        first = save_snapshot(oracle.freeze(), tmp_path / "first.dsosnap")
+        maintainer = OracleMaintainer(oracle)
+        for tail, head, _ in sorted(graph.edges())[:6]:
+            maintainer.delete_edge(tail, head)
+        updated = oracle.freeze()
+        second = save_snapshot(updated, tmp_path / "second.dsosnap")
+        bad = corrupt_copy(second, tmp_path / "bad.dsosnap")
+        batch = generate_queries(graph, 16, f_gen=2, p=0.01, seed=8)
+        expected = [updated.query(q.source, q.target, q.failed) for q in batch]
+        with make_service(first, workers=2, cache_size=64) as service:
+            before = service.run(batch).answers
+            assert before != expected  # the swap must be visible
+            with pytest.raises(RuntimeError, match="failed to load"):
+                service.swap_snapshot(bad)
+            assert multiprocessing.active_children() == []
+            service.swap_snapshot(second)
+            report = service.run(batch)
+            assert report.answers == expected
+            assert report.cache_hits == 0
+        assert multiprocessing.active_children() == []
+
+
+class TestShardedPoolLifecycle:
+    @pytest.fixture(scope="class")
+    def sharded(self, tmp_path_factory):
+        graph = random_graph(5, n=30, extra=60)
+        build = build_sharded(graph, 2, seed=1)
+        return save_sharded_snapshot(
+            build, tmp_path_factory.mktemp("sharded") / "snap"
+        )
+
+    def test_start_launches_every_shard_before_waiting(
+        self, sharded, monkeypatch
+    ):
+        seen = record_live_workers_at_ready(monkeypatch)
+        service = ShardedQueryService(
+            sharded, workers_per_shard=2, start_method=START_METHOD
+        )
+        with service:
+            assert seen[0] == 4
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_one_corrupt_shard_leaves_no_process(
+        self, sharded, tmp_path, shard
+    ):
+        import shutil
+
+        target = tmp_path / "snap"
+        shutil.copytree(sharded, target)
+        shard_file = target / f"shard-{shard:04d}.dsosnap"
+        corrupt_copy(shard_file, shard_file)
+        service = ShardedQueryService(
+            target, workers_per_shard=2, start_method=START_METHOD
+        )
+        try:
+            with pytest.raises(RuntimeError, match="failed to load"):
+                service.start()
+            assert multiprocessing.active_children() == []
+            assert not any(pool._started for pool in service._services)
+        finally:
+            service.stop()
 
 
 class TestQueryEngineProcessBackend:

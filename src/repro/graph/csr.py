@@ -303,36 +303,18 @@ def csr_dijkstra(
 
     adjacency = frozen._adjacency
     n = len(frozen.node_ids)
-    check_failed = bool(failed_edge_ids)
-    push = heappush
-    pop = heappop
-    heap: list[tuple[float, int]] = [(0.0, source)]
 
     if arena is None:
-        dist = [INFINITY] * n
-        dist[source] = 0.0
-        settled = bytearray(n)
-        while heap:
-            d, node = pop(heap)
-            if settled[node]:
-                continue
-            settled[node] = 1
-            if node == target:
-                break
-            for head, weight, pos in adjacency[node]:
-                if settled[head]:
-                    continue
-                if check_failed and pos in failed_edge_ids:
-                    continue
-                candidate = d + weight
-                if candidate < dist[head]:
-                    dist[head] = candidate
-                    push(heap, (candidate, head))
+        dist = _dense_dijkstra(adjacency, n, source, failed_edge_ids, target)
         node_ids = frozen.node_ids
         return {
             node_ids[i]: dist[i] for i in range(n) if dist[i] < INFINITY
         }
 
+    check_failed = bool(failed_edge_ids)
+    push = heappush
+    pop = heappop
+    heap: list[tuple[float, int]] = [(0.0, source)]
     if arena.size != n:
         raise ValueError(
             f"arena size {arena.size} does not match graph size {n}"
@@ -367,6 +349,65 @@ def csr_dijkstra(
                 push(heap, (candidate, head))
     node_ids = frozen.node_ids
     return {node_ids[i]: dist[i] for i in touched}
+
+
+def _dense_dijkstra(
+    adjacency: list,
+    n: int,
+    source: int,
+    failed_edge_ids: frozenset[int] | None,
+    target: int,
+) -> list[float]:
+    """Dijkstra over pre-sliced adjacency rows; distances by dense index.
+
+    Stops once ``target`` (a dense index, ``-1`` for none) is settled,
+    leaving tentative labels on the nodes not yet settled.
+    """
+    check_failed = bool(failed_edge_ids)
+    push = heappush
+    pop = heappop
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    dist = [INFINITY] * n
+    dist[source] = 0.0
+    settled = bytearray(n)
+    while heap:
+        d, node = pop(heap)
+        if settled[node]:
+            continue
+        settled[node] = 1
+        if node == target:
+            break
+        for head, weight, pos in adjacency[node]:
+            if settled[head]:
+                continue
+            if check_failed and pos in failed_edge_ids:
+                continue
+            candidate = d + weight
+            if candidate < dist[head]:
+                dist[head] = candidate
+                push(heap, (candidate, head))
+    return dist
+
+
+def csr_distances(
+    frozen: FrozenGraph, source_label: int, reverse: bool = False
+) -> list[float]:
+    """All distances from ``source_label``, indexed by dense node index.
+
+    ``inf`` marks unreachable nodes.  ``reverse=True`` searches the
+    in-edges (``FrozenGraph._radjacency``) instead, so entry ``x`` is
+    ``d(x, source)``.  The dense list is what callers laying distances
+    out in flat arrays want; :func:`csr_dijkstra` runs the same search
+    and keys the result by label.
+
+    Raises
+    ------
+    NodeNotFoundError
+        If ``source_label`` is not in the graph.
+    """
+    source = frozen._require(source_label)
+    adjacency = frozen._radjacency if reverse else frozen._adjacency
+    return _dense_dijkstra(adjacency, len(frozen.node_ids), source, None, -1)
 
 
 def csr_distance(

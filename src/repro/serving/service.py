@@ -168,6 +168,13 @@ class ServeReport:
     #: pool (local legs, border legs, and matrix repairs all count).
     #: Empty on the unsharded plane.
     shard_loads: list[int] = field(default_factory=list)
+    #: Legs the sharded dispatcher sent this run for border repair
+    #: alone: one per border pair a failure set can change, over the
+    #: distinct ``(shard, F_k)`` sets the repair memo could not supply,
+    #: less the pairs that are also some query's outbound or inbound
+    #: leg (already counted in ``shard_loads``).  0 on the unsharded
+    #: plane.
+    repair_legs: int = 0
     #: Stitch plane the sharded dispatcher combined legs with
     #: (``"scalar"`` heap walk or ``"frozen"`` CSR kernels); empty on
     #: the unsharded plane.
@@ -290,6 +297,7 @@ class ServeReport:
             row["stitch_plane"] = self.stitch_plane
             row["stitch_us"] = round(self.stitch_us, 3)
             row["closure_hits"] = self.closure_hits
+            row["repair_legs"] = self.repair_legs
             row["latency_split"] = self.latency_split
         return row
 

@@ -18,16 +18,33 @@ index is never resident in any single process.
   ``(s, b1, F_s)`` per source-shard border, and one **inbound** leg
   ``(b2, t, F_t)`` per target-shard border;
 * every shard ``k`` with a non-empty owned failure set ``F_k``: a
-  **repair** leg ``(a, b, F_k)`` per ordered border pair, rebuilding
-  its type-2 overlay rows under the failures.
+  **repair** leg ``(a, b, F_k)`` per ordered border pair that ``F_k``
+  can reach — some failed edge ``(u, v, w)`` of shard ``k`` lies on a
+  shortest ``a -> b`` path, tested as ``d_k(a, u) + w + d_k(v, b) <=
+  d_k(a, b) * (1 + AFFECTED_SLACK)``
+  (:meth:`~repro.sharding.oracle.ShardReach.affected_pairs`, the same
+  helper :class:`~repro.sharding.oracle.ShardedOracle` repairs with).
+  Every other entry of the repaired rows keeps the manifest's
+  failure-free value; an ``F_k`` that reaches no pair repairs nothing,
+  so its queries stitch over the failure-free overlay (closure fast
+  path included).
+
+The failure-free in-shard distances behind that test come from one
+forward and one backward CSR Dijkstra per border, run by the
+dispatcher when the pools start, over only the CSR sections of each
+``shard-*.dsosnap`` file (no index is restored).  The same CSRs drop
+failed same-shard pairs that are not edges before planning, so such a
+query plans exactly like its failure-free twin.
 
 Legs are deduplicated per shard on the canonical ``(s, t, F)`` key —
 two queries sharing a source and failure set share the outbound legs,
 and every query in a batch under the same ``F_k`` shares one repair set
 (repaired rows are additionally memoized *across* batches per
-``(shard, canonical F_k)`` until the snapshot epoch retires) — then
-each shard's pool answers its batch through the ordinary dispatcher
-(result planes, crash replacement, epoch fencing all inherited).
+``(shard, canonical F_k)``, least recently used out first, until the
+snapshot epoch retires) — then each shard's pool answers its batch
+through the ordinary dispatcher (result planes, crash replacement,
+epoch fencing all inherited).  ``ServeReport.repair_legs`` counts the
+legs a run dispatched for repair alone.
 
 Stitching runs in this process over the answered legs, on one of two
 planes (DESIGN.md §14), selected by the ``stitch_plane`` knob or the
@@ -75,13 +92,18 @@ from repro.serving.service import (
 from repro.serving.worker import QUERY_ERROR
 from repro.sharding.frozen_overlay import HAVE_NUMPY
 from repro.sharding.oracle import INFINITY, stitch_over_borders
-from repro.sharding.snapshot import load_frozen_overlay, load_shard_plan_overlay
+from repro.sharding.snapshot import (
+    load_frozen_overlay,
+    load_shard_plan_overlay,
+    load_shard_reach,
+)
 
 #: Recognised stitch planes for :class:`ShardedQueryService`.
 STITCH_PLANES = ("scalar", "frozen")
 
 #: Cross-batch repaired-row memo entries kept per service (each entry
-#: is one shard's full border matrix under one failure set).
+#: is one shard's full border matrix under one failure set); after each
+#: batch the least recently used entries beyond it are dropped.
 _REPAIR_MEMO_LIMIT = 256
 
 
@@ -103,9 +125,10 @@ class _QueryPlan:
         self.out_legs: list = []
         #: ``[(border, (shard, leg index)), ...]`` target-side legs.
         self.in_legs: list = []
-        #: ``[(shard, rows_key), ...]`` repair sets this query needs,
-        #: sorted by shard; ``rows_key`` indexes the batch's shared
-        #: repair table (and the cross-batch memo).
+        #: ``[(shard, rows_key), ...]`` repair sets this query needs
+        #: (shards whose ``F_k`` reaches some border pair), sorted by
+        #: shard; ``rows_key`` indexes the batch's resolved rows (and
+        #: the cross-batch memo).
         self.repairs: list[tuple[int, tuple]] = []
         self.cross_failed = frozenset()
         self.cross_shard = False
@@ -113,6 +136,24 @@ class _QueryPlan:
     def patch_key(self) -> tuple:
         """Hashable failure-patch signature (groups the frozen stitch)."""
         return (tuple(self.repairs), self.cross_failed)
+
+
+def _repair_only_legs(plans: list[_QueryPlan], repair_refs: dict) -> int:
+    """Legs a batch dispatched for repairs alone.
+
+    A repair pair ``(b_i, b_j, F_k)`` is the same deduplicated leg as a
+    query's outbound or inbound leg when that query's source or target
+    is border ``b_i`` or ``b_j`` of shard ``k``; such legs are not
+    counted, so the result is what the repairs added to the dispatch.
+    """
+    asked = set()
+    for plan in plans:
+        asked.add(plan.local)
+        asked.update(ref for _, ref in plan.out_legs)
+        asked.update(ref for _, ref in plan.in_legs)
+    return len(
+        {ref for refs in repair_refs.values() for _, _, ref in refs} - asked
+    )
 
 
 class ShardedQueryService:
@@ -195,6 +236,11 @@ class ShardedQueryService:
         overlay, meta, shard_paths = load_shard_plan_overlay(
             snapshot_dir, verify=verify
         )
+        self._verify = verify
+        self._shard_paths = shard_paths
+        #: Per shard, the failure-free border distances the repair
+        #: planner tests failures against; read on the first start.
+        self._reach = None
         self.overlay = overlay
         self.meta = meta
         self.shards = overlay.parts
@@ -228,9 +274,9 @@ class ShardedQueryService:
             else None
         )
         #: ``(shard, canonical F_k) -> resolved float rows`` — repaired
-        #: border matrices carried across batches.  Cleared whenever
-        #: any shard's snapshot epoch retires (the rows embed that
-        #: shard's answers).
+        #: border matrices carried across batches, in recency order.
+        #: Cleared whenever any shard's snapshot epoch retires (the
+        #: rows embed that shard's answers).
         self._repair_memo: dict[tuple, list[list[float]]] = {}
 
     # ------------------------------------------------------------------
@@ -241,8 +287,24 @@ class ShardedQueryService:
 
         All shards' workers load at once, so this costs about one shard
         load; on any failure none is left running (``_start_pools``).
+        Once the workers have loaded (and so checked) the shard files,
+        the first start also reads their CSR sections for the repair
+        planner (:func:`~repro.sharding.snapshot.load_shard_reach`); if
+        that read fails, the pools are stopped again before it raises.
         """
         _start_pools(self._services)
+        if self._reach is None:
+            try:
+                self._reach = [
+                    load_shard_reach(path, borders, verify=self._verify)
+                    for path, borders in zip(
+                        self._shard_paths, self.overlay.shard_borders
+                    )
+                ]
+            except BaseException:
+                for service in self._services:
+                    service.stop()
+                raise
         self._started = True
         return self
 
@@ -317,13 +379,19 @@ class ShardedQueryService:
         Returns ``(plans, shard_legs, repair_refs)`` where
         ``repair_refs`` maps each distinct ``(shard, canonical F_k)``
         this batch needs — and the cross-batch memo cannot supply — to
-        its leg-reference rows (resolved once after dispatch).
+        ``[(i, j, leg reference), ...]`` over its affected border pairs
+        (resolved once after dispatch).  A memo hit moves its entry to
+        the most recent end; nothing is evicted until the batch is
+        stitched (``run``).
         """
         overlay = self.overlay
         assignment = overlay.assignment
+        reach = self._reach
+        memo = self._repair_memo
         shard_legs: list[list[tuple]] = [[] for _ in range(self.shards)]
         leg_index: list[dict] = [{} for _ in range(self.shards)]
-        repair_refs: dict[tuple, list[list]] = {}
+        repair_refs: dict[tuple, list[tuple]] = {}
+        unaffected: set[tuple] = set()
 
         def leg(shard: int, source: int, target: int, failed) -> tuple[int, int]:
             key = canonical_query_key(source, target, failed)
@@ -335,6 +403,29 @@ class ShardedQueryService:
                     (source, target, tuple(failed) if failed else None)
                 )
             return (shard, index)
+
+        def repair(shard: int, failures: frozenset) -> tuple | None:
+            """Rows key of ``F_k`` in this batch; ``None`` when it
+            reaches no border pair (the failure-free rows stand)."""
+            rows_key = (shard, canonical_query_key(0, 0, failures)[2])
+            if rows_key in repair_refs:
+                return rows_key
+            if rows_key in unaffected:
+                return None
+            rows = memo.pop(rows_key, None)
+            if rows is not None:
+                memo[rows_key] = rows  # now the most recently used
+                return rows_key
+            pairs = reach[shard].affected_pairs(failures)
+            if not pairs:
+                unaffected.add(rows_key)
+                return None
+            borders = overlay.shard_borders[shard]
+            repair_refs[rows_key] = [
+                (i, j, leg(shard, borders[i], borders[j], failures))
+                for i, j in pairs
+            ]
+            return rows_key
 
         plans: list[_QueryPlan] = []
         for source, target, failed in wire:
@@ -351,7 +442,7 @@ class ShardedQueryService:
                 )
                 continue
             try:
-                per_shard, cross_failed = overlay.split_failures(failed)
+                per_shard, cross_failed = overlay.split_failures(failed, reach)
             except Exception as exc:
                 plan.error = f"{type(exc).__name__}: {exc}"
                 continue
@@ -376,19 +467,9 @@ class ShardedQueryService:
                 for border in borders_t
             ]
             for shard in overlay.shards_touched(per_shard):
-                failures = per_shard[shard]
-                rows_key = (shard, canonical_query_key(0, 0, failures)[2])
-                plan.repairs.append((shard, rows_key))
-                if rows_key in self._repair_memo or rows_key in repair_refs:
-                    continue  # repaired once per batch — or never again
-                borders = overlay.shard_borders[shard]
-                repair_refs[rows_key] = [
-                    [
-                        None if a == b else leg(shard, a, b, failures)
-                        for b in borders
-                    ]
-                    for a in borders
-                ]
+                rows_key = repair(shard, per_shard[shard])
+                if rows_key is not None:
+                    plan.repairs.append((shard, rows_key))
         return plans, shard_legs, repair_refs
 
     # ------------------------------------------------------------------
@@ -477,6 +558,9 @@ class ShardedQueryService:
         answers, latencies, errors, stitch_seconds, closure_hits = (
             self._stitch_all(plans, leg_value, repair_refs)
         )
+        memo = self._repair_memo
+        while len(memo) > _REPAIR_MEMO_LIMIT:
+            del memo[next(iter(memo))]
 
         # ---- scatter back + cache fill (compact -> input positions) --
         if not identity:
@@ -563,6 +647,7 @@ class ShardedQueryService:
             shards=self.shards,
             cross_shard_ratio=(cross / total) if wire else 0.0,
             shard_loads=[len(legs) for legs in shard_legs],
+            repair_legs=_repair_only_legs(plans, repair_refs),
             stitch_plane=self.stitch_plane,
             stitch_seconds=stitch_seconds,
             closure_hits=closure_hits,
@@ -577,34 +662,29 @@ class ShardedQueryService:
     ) -> dict[tuple, tuple]:
         """Resolve each distinct repair set once, memoizing clean ones.
 
+        Each set starts from its shard's failure-free matrix and
+        overwrites the affected entries with their answered legs.
         Returns ``rows_key -> (rows, first_error_message)``; scan order
-        inside a set is row-major, matching the scalar plane's per-query
-        scan so error strings stay byte-identical.
+        inside a set is row-major, the same on both stitch planes, so
+        error strings stay byte-identical.  Clean rows join the memo
+        without evicting anything: ``run`` trims it after stitching.
         """
+        matrices = self.overlay.border_matrices
+        memo = self._repair_memo
         resolved: dict[tuple, tuple] = {}
-        for rows_key, ref_rows in repair_refs.items():
-            rows: list[list[float]] = []
+        for rows_key, refs in repair_refs.items():
+            rows = [list(row) for row in matrices[rows_key[0]]]
             message: str | None = None
-            for ref_row in ref_rows:
-                row: list[float] = []
-                for ref in ref_row:
-                    if ref is None:
-                        row.append(0.0)
-                        continue
-                    value, leg_message = leg_value(ref)
-                    if leg_message is not None:
-                        message = leg_message
-                        break
-                    row.append(value)
+            for i, j, ref in refs:
+                value, message = leg_value(ref)
                 if message is not None:
                     break
-                rows.append(row)
+                rows[i][j] = value
             if message is not None:
                 resolved[rows_key] = (None, message)
-            else:
-                resolved[rows_key] = (rows, None)
-                if len(self._repair_memo) < _REPAIR_MEMO_LIMIT:
-                    self._repair_memo[rows_key] = rows
+                continue
+            resolved[rows_key] = (rows, None)
+            memo[rows_key] = rows
         return resolved
 
     def _resolve_legs(self, plan: _QueryPlan, leg_value, resolved):

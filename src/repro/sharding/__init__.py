@@ -27,6 +27,7 @@ from repro.sharding.frozen_overlay import (
 from repro.sharding.oracle import (
     BorderOverlay,
     ShardedOracle,
+    ShardReach,
     stitch_over_borders,
 )
 from repro.sharding.plan import PARTITION_METHODS, ShardPlan, make_shard_plan
@@ -35,6 +36,7 @@ from repro.sharding.snapshot import (
     SHARD_MAGIC,
     load_frozen_overlay,
     load_shard_plan_overlay,
+    load_shard_reach,
     load_sharded_snapshot,
     save_sharded_snapshot,
     sharded_snapshot_info,
@@ -47,6 +49,7 @@ __all__ = [
     "BorderOverlay",
     "FrozenOverlay",
     "ShardPlan",
+    "ShardReach",
     "ShardedBuild",
     "ShardedOracle",
     "build_sharded",
@@ -55,6 +58,7 @@ __all__ = [
     "compute_border_matrix",
     "load_frozen_overlay",
     "load_shard_plan_overlay",
+    "load_shard_reach",
     "load_sharded_snapshot",
     "make_shard_plan",
     "save_sharded_snapshot",

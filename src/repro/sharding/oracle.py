@@ -23,25 +23,53 @@ Failure handling: ``F`` is split by ownership.  Edges inside shard
 ``k`` form ``F_k`` and are forwarded to every leg computed on shard
 ``k``'s oracle; failed *cross* edges are dropped from the type-1 edges
 of ``H``; and for every shard with ``F_k`` non-empty the precomputed
-type-2 matrix rows are *repaired* per query by re-asking shard ``k``'s
-oracle under ``F_k`` — which handles failure sets that hit border
-nodes' incident edges exactly.  Failed edges unknown to the graph are
-ignored, matching the unsharded oracles.
+type-2 matrix is *repaired* by re-asking shard ``k``'s oracle under
+``F_k`` — but only for the border pairs ``F_k`` can reach.  A failure
+changes ``d_k(a, b)`` only if it lies on a shortest ``a -> b`` path,
+so :meth:`ShardReach.affected_pairs` marks pair ``(a, b)`` iff some
+failed edge ``(u, v, w)`` of shard ``k`` has
+
+``d_k(a, u) + w + d_k(v, b) <= d_k(a, b) * (1 + AFFECTED_SLACK)``
+
+over failure-free in-shard distances; every unmarked entry keeps the
+failure-free matrix value.  At least one shortest path of an unmarked
+pair avoids ``F_k``, so its distance is unchanged (on integer weights
+the test is exact and the kept value bitwise-equal; on float weights
+the kept value is within rounding of the re-asked one, far inside the
+``AFFECTED_SLACK`` relative bound).  Over-marking only costs re-asks.
+Failed pairs that are not edges of the graph are ignored, matching
+the unsharded oracles.
 
 :class:`BorderOverlay` holds the thin, oracle-free overlay state (the
-part a serving dispatcher keeps in memory); :class:`ShardedOracle`
-adds the per-shard oracles for fully in-process stitched queries.
+part a serving dispatcher keeps in memory); :class:`ShardReach` holds
+one shard's failure-free border distances for the affected-pair test
+(the serving dispatcher builds it from the shard file's CSR sections
+alone); :class:`ShardedOracle` adds the per-shard oracles for fully
+in-process stitched queries.  The in-process oracle and the serving
+plane repair through the same :meth:`ShardReach.affected_pairs`.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable
+from array import array
+from collections.abc import Callable, Iterable, Sequence
 
 from repro.exceptions import QueryError
+from repro.graph.csr import FrozenGraph, csr_distances
 from repro.graph.digraph import Edge
 
 INFINITY = float("inf")
+
+#: Relative slack of the affected-pair test.  It covers float
+#: reassociation: ``d(a, u) + w + d(v, b)`` sums one path's weights in
+#: a different order than the search that produced ``d(a, b)``, which
+#: moves the result by about (path edges) x 2**-53 relative — far
+#: below this bound for any path shorter than ~10**6 edges.  On
+#: integer weights every sum is exact and the test marks exactly the
+#: pairs with a failed edge on some shortest path (plus pairs within
+#: the slack, which costs a re-ask, never correctness).
+AFFECTED_SLACK = 1e-9
 
 #: ``adjacency(u)`` yields ``(v, weight)`` overlay edges out of ``u``.
 AdjacencyFn = Callable[[int], Iterable[tuple[int, float]]]
@@ -142,14 +170,17 @@ class BorderOverlay:
     # Failure routing
     # ------------------------------------------------------------------
     def split_failures(
-        self, failed: Iterable[Edge] | None
+        self,
+        failed: Iterable[Edge] | None,
+        reach: Sequence["ShardReach"],
     ) -> tuple[dict[int, frozenset[Edge]], frozenset[Edge]]:
         """Split ``F`` into per-shard sets and the failed cross edges.
 
-        An edge whose endpoints share a shard joins that shard's
-        ``F_k``; an edge matching a known cross edge joins the cross
-        set; anything else (unknown nodes, non-edges spanning shards)
-        is dropped — the unsharded oracles ignore unknown failures too.
+        An edge of shard ``k`` (looked up in ``reach[k]``) joins that
+        shard's ``F_k``; an edge matching a known cross edge joins the
+        cross set; anything else (unknown nodes, non-edges) is dropped —
+        the unsharded oracles ignore unknown failures too, and a query
+        failing only non-edges plans exactly like its failure-free twin.
         """
         per_shard: dict[int, set[Edge]] = {}
         cross: set[Edge] = set()
@@ -166,7 +197,8 @@ class BorderOverlay:
                 if shard_t is None or shard_h is None:
                     continue
                 if shard_t == shard_h:
-                    per_shard.setdefault(shard_t, set()).add(edge)
+                    if reach[shard_t].has_edge(edge):
+                        per_shard.setdefault(shard_t, set()).add(edge)
                 elif edge in self.cross_keys:
                     cross.add(edge)
         return (
@@ -222,6 +254,115 @@ class BorderOverlay:
         yield from self.cross_adjacency.get(u, ())
 
 
+class ShardReach:
+    """One shard's failure-free distances from and to its borders.
+
+    Built from the shard's CSR alone (no index): one forward and one
+    backward Dijkstra per border gives ``d_k(b, x)`` and ``d_k(x, b)``
+    for every node ``x`` of the shard.  That is all the affected-pair
+    test needs (:meth:`affected_pairs`), plus the shard's edge set for
+    dropping failed non-edges (:meth:`has_edge`).  Distances are kept
+    node-major in flat ``array('d')`` lanes — ``|V_k| x |B_k|`` floats
+    per direction — so one failed edge reads two contiguous slices.
+    """
+
+    __slots__ = (
+        "num_borders",
+        "_index_of",
+        "_edge_index",
+        "_weights",
+        "_into",
+        "_out_of",
+        "_bound",
+    )
+
+    def __init__(self, frozen: FrozenGraph, borders: Sequence[int]) -> None:
+        node_ids = frozen.node_ids
+        index_of = frozen.index_of
+        width = len(borders)
+        self.num_borders = width
+        # The CSR's own edge lookup: two plain dicts plus a copy of the
+        # weights, so the reach outlives a snapshot mapping.
+        self._index_of = index_of
+        self._edge_index = frozen._edge_index
+        self._weights = array("d", frozen._weights)
+        lanes = []
+        for reverse in (False, True):
+            lane = array("d", [INFINITY]) * (len(node_ids) * width)
+            for column, border in enumerate(borders):
+                lane[column::width] = array(
+                    "d", csr_distances(frozen, border, reverse=reverse)
+                )
+            lanes.append(lane)
+        #: ``_into[x * width + i] = d_k(b_i, x)``;
+        #: ``_out_of[x * width + j] = d_k(x, b_j)``.
+        self._into, self._out_of = lanes
+        scale = 1.0 + AFFECTED_SLACK
+        self._bound = [
+            [
+                self._into[index_of[other] * width + i] * scale
+                for other in borders
+            ]
+            for i in range(width)
+        ]
+
+    def _find(self, edge: Edge) -> tuple[int, int, float] | None:
+        """``(tail index, head index, weight)`` of a shard edge, or
+        ``None`` when ``edge`` is not one."""
+        tail_label, head_label = edge
+        tail = self._index_of.get(tail_label)
+        head = self._index_of.get(head_label)
+        if tail is None or head is None:
+            return None
+        position = self._edge_index.get((tail, head))
+        if position is None:
+            return None
+        return tail, head, self._weights[position]
+
+    def has_edge(self, edge: Edge) -> bool:
+        """Whether ``(tail, head)`` is an edge of this shard."""
+        return self._find(edge) is not None
+
+    def affected_pairs(self, failed: Iterable[Edge]) -> list[tuple[int, int]]:
+        """Border pairs ``(i, j)`` whose distance ``failed`` may change.
+
+        Pair ``(b_i, b_j)``, ``i != j``, is marked iff some failed edge
+        ``(u, v, w)`` of the shard satisfies ``d(b_i, u) + w + d(v, b_j)
+        <= d(b_i, b_j) * (1 + AFFECTED_SLACK)``; failed pairs that are
+        not edges of the shard mark nothing.  Unmarked pairs keep their
+        failure-free distance under ``failed`` (module docstring).
+        Returned row-major, the order repair legs are scanned in.
+        """
+        width = self.num_borders
+        into = self._into
+        out_of = self._out_of
+        bound = self._bound
+        hits: set[tuple[int, int]] = set()
+        for edge in failed:
+            found = self._find(edge)
+            if found is None:
+                continue
+            tail, head, weight = found
+            exits = [
+                (j, rest)
+                for j, rest in enumerate(
+                    out_of[head * width : (head + 1) * width]
+                )
+                if rest < INFINITY
+            ]
+            if not exits:
+                continue
+            for i, lead in enumerate(into[tail * width : (tail + 1) * width]):
+                if lead == INFINITY:
+                    continue
+                lead += weight
+                limits = bound[i]
+                for j, rest in exits:
+                    if lead + rest <= limits[j] and i != j:
+                        hits.add((i, j))
+        return sorted(hits)
+
+
 class ShardedOracle:
     """In-process stitched queries: overlay + every shard oracle loaded.
 
@@ -244,6 +385,10 @@ class ShardedOracle:
             )
         self.overlay = overlay
         self.shard_oracles = shard_oracles
+        self.reach = [
+            ShardReach(oracle.frozen, borders)
+            for oracle, borders in zip(shard_oracles, overlay.shard_borders)
+        ]
 
     @classmethod
     def from_build(cls, build) -> "ShardedOracle":
@@ -262,16 +407,18 @@ class ShardedOracle:
     def repair_rows(
         self, shard: int, failed: frozenset[Edge]
     ) -> list[list[float]]:
-        """Recompute shard ``shard``'s border matrix under ``F_k``."""
+        """Shard ``shard``'s border matrix under ``F_k``.
+
+        Only the pairs :meth:`ShardReach.affected_pairs` marks are
+        re-asked of the shard oracle; every other entry is the
+        failure-free matrix value.
+        """
         borders = self.overlay.shard_borders[shard]
         oracle = self.shard_oracles[shard]
-        return [
-            [
-                0.0 if a == b else oracle.query(a, b, failed)
-                for b in borders
-            ]
-            for a in borders
-        ]
+        rows = [list(row) for row in self.overlay.border_matrices[shard]]
+        for i, j in self.reach[shard].affected_pairs(failed):
+            rows[i][j] = oracle.query(borders[i], borders[j], failed)
+        return rows
 
     def query(
         self,
@@ -287,7 +434,9 @@ class ShardedOracle:
             raise QueryError(f"target node {target!r} is not in the graph")
         shard_s = assignment[source]
         shard_t = assignment[target]
-        per_shard, cross_failed = self.overlay.split_failures(failed)
+        per_shard, cross_failed = self.overlay.split_failures(
+            failed, self.reach
+        )
         f_s = per_shard.get(shard_s, frozenset())
         f_t = per_shard.get(shard_t, frozenset())
 

@@ -33,6 +33,7 @@ from repro.exceptions import FormatError
 from repro.oracle.snapshot import (
     SectionWriter,
     SnapshotReader,
+    _load_csr,
     load_snapshot,
     pack_container,
     save_snapshot,
@@ -43,7 +44,7 @@ from repro.sharding.frozen_overlay import (
     compile_overlay_csr,
     compute_border_closure,
 )
-from repro.sharding.oracle import BorderOverlay, ShardedOracle
+from repro.sharding.oracle import BorderOverlay, ShardedOracle, ShardReach
 
 SHARD_MAGIC = b"DSOSHRD1"
 SHARD_VERSION = 1
@@ -243,6 +244,22 @@ def load_frozen_overlay(
         raise
     frozen.reader = reader
     return frozen
+
+
+def load_shard_reach(
+    path: str | Path, borders: tuple[int, ...], verify: bool = True
+) -> ShardReach:
+    """One shard's :class:`ShardReach`, from its file's CSR sections.
+
+    Reads only the ``graph.*`` sections of the ``shard-*.dsosnap``
+    file — no index is restored — and releases the mapping before
+    returning: the reach keeps its own copies.
+    """
+    reader = SnapshotReader(path, verify=verify)
+    try:
+        return ShardReach(_load_csr(reader, "graph"), borders)
+    finally:
+        reader.close()
 
 
 def load_sharded_snapshot(

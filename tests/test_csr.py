@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.dijkstra_oracle import DijkstraOracle, StaticDijkstraOracle
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
-from repro.graph.csr import FrozenGraph, csr_dijkstra, csr_distance
+from repro.graph.csr import (
+    FrozenGraph,
+    csr_dijkstra,
+    csr_distance,
+    csr_distances,
+)
 from repro.graph.digraph import DiGraph
 from repro.pathing.dijkstra import dijkstra
 from repro.workload.queries import generate_queries
@@ -93,6 +98,26 @@ class TestCsrDijkstra:
         frozen = FrozenGraph.from_digraph(small_road)
         with pytest.raises(NodeNotFoundError):
             csr_dijkstra(frozen, 99_999)
+        with pytest.raises(NodeNotFoundError):
+            csr_distances(frozen, 99_999)
+
+    def test_dense_distances_both_directions(self):
+        """``csr_distances`` equals the label-keyed search forward, and
+        the search on the reversed graph backward."""
+        g = DiGraph([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 5.0), (3, 0, 1.0)])
+        frozen = FrozenGraph.from_digraph(g)
+        reversed_graph = DiGraph(
+            [(head, tail, weight) for tail, head, weight in g.edges()]
+        )
+        for source in frozen.node_ids:
+            forward = csr_distances(frozen, source)
+            backward = csr_distances(frozen, source, reverse=True)
+            want_forward = csr_dijkstra(frozen, source)
+            want_backward, _ = dijkstra(reversed_graph, source)
+            for index, label in enumerate(frozen.node_ids):
+                inf = float("inf")
+                assert forward[index] == want_forward.get(label, inf)
+                assert backward[index] == want_backward.get(label, inf)
 
 
 class TestStaticDijkstraOracle:

@@ -312,7 +312,9 @@ class TestStitchBatch:
             and (tail in border_set or head in border_set)
         ]
         failed.update(rng.sample(intra, min(len(intra), 3)))
-        per_shard, cross_failed = overlay.split_failures(frozenset(failed))
+        per_shard, cross_failed = overlay.split_failures(
+            frozenset(failed), sharded.reach
+        )
         repaired = {
             shard: sharded.repair_rows(shard, per_shard[shard])
             for shard in overlay.shards_touched(per_shard)

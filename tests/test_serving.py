@@ -294,6 +294,26 @@ class TestShardedPoolLifecycle:
         finally:
             service.stop()
 
+    def test_failed_reach_build_leaves_no_process(self, sharded, monkeypatch):
+        """The dispatcher reads the shard CSRs after the pools are up; a
+        failure there must stop them again, since ``__exit__`` never
+        runs when ``__enter__`` raises."""
+        import repro.serving.sharded as sharded_module
+
+        def broken_reach(path, borders, verify=True):
+            raise KeyError(borders[0])
+
+        monkeypatch.setattr(sharded_module, "load_shard_reach", broken_reach)
+        service = ShardedQueryService(
+            sharded, workers_per_shard=2, start_method=START_METHOD
+        )
+        with pytest.raises(KeyError):
+            with service:
+                pass  # pragma: no cover - __enter__ raises
+        assert multiprocessing.active_children() == []
+        assert not any(pool._started for pool in service._services)
+        assert service._reach is None
+
 
 class TestQueryEngineProcessBackend:
     def test_parity_with_thread_backend(self, served):

@@ -7,20 +7,19 @@ aggregate query throughput three ways:
 * sequential — the in-memory frozen oracle answering the batch alone
   (the single-core reference);
 * ``QueryService`` at 1, 2, and 4 workers — each worker a separate
-  process mapping the same snapshot read-only — under **both** result
-  planes (``shm`` ring and ``pipe`` pickle), so the dispatch cost of
-  each channel is directly comparable at equal worker counts.
+  process mapping the same snapshot read-only, answers coming back
+  through the shared-memory result ring.
 
 Every pool run first asserts exact answer parity with the sequential
 baseline.  Each row serves the batch ``ROUNDS`` times through one
 service (qps from the best round, dispatch overhead the median across
 rounds — a single run's per-batch decode cost is scheduler-noise-bound
-on small chunk counts) and records its ``result_plane``, the
+on small chunk counts) and records its ``result_plane`` (``"pipe"``
+only if the run fell back for lack of shared memory), the
 dispatcher-side ``dispatch_overhead_us`` per accepted batch (unpickle
 plus ring memcpy plus splice; the OS wait for the pipe is excluded)
-and ``pipe_bytes_per_batch`` (the pickled result traffic that actually
-crossed the pipe) — the shm rows carry only tiny completion records
-where the pipe rows carry the full answer payload.
+and ``pipe_bytes_per_batch`` (the completion records that actually
+crossed the pipe).
 Results merge into the repo-root ``BENCH_throughput.json``, where
 ``merge_json`` stamps ``git_rev`` + ``cpu_count`` into every entry
 centrally; ``cpu_count`` matters here because process-level speed-up is
@@ -59,7 +58,6 @@ from repro.sharding import (
     sharded_snapshot_info,
     stitch_over_borders,
 )
-from repro.sharding.frozen_overlay import HAVE_NUMPY
 from repro.sharding.oracle import INFINITY
 from repro.workload.queries import generate_queries, generate_zipf_queries
 
@@ -68,7 +66,6 @@ from bench_util import THROUGHPUT_JSON, merge_json, write_result
 SEED = 7
 QUERY_COUNT = 600
 WORKER_COUNTS = (1, 2, 4)
-RESULT_PLANES = ("shm", "pipe")
 #: Serve rounds per row: qps is best-of, dispatch overhead the median.
 ROUNDS = 5
 #: Dispatcher result-cache capacity for the cached zipf rows.
@@ -144,45 +141,27 @@ def run(smoke: bool = False, query_count: int | None = None) -> dict:
         result["workers"] = {}
         rounds = 1 if smoke else ROUNDS
         for workers in worker_counts:
-            for plane in RESULT_PLANES:
-                reports = []
-                with QueryService(
-                    path, workers=workers, result_plane=plane
-                ) as service:
-                    for _ in range(rounds):
-                        report = service.run(batch)
-                        assert report.answers == expected, (
-                            f"{workers}-worker {plane} answers diverge "
-                            f"from sequential baseline"
-                        )
-                        assert report.error_count == 0, (
-                            f"{workers}-worker {plane} run reported "
-                            f"per-query errors on a clean workload: "
-                            f"{report.error_indices[:5]}"
-                        )
-                        reports.append(report)
-                best = max(reports, key=lambda r: r.queries_per_second)
-                row = best.summary()
-                row["rounds"] = rounds
-                row["dispatch_overhead_us"] = round(
-                    statistics.median(
-                        r.dispatch_overhead_us for r in reports
-                    ),
-                    3,
-                )
-                row["speedup_vs_sequential"] = round(
-                    best.queries_per_second / seq["qps"], 3
-                )
-                result["workers"][f"{workers}w-{plane}"] = row
-                print(
-                    f"{workers:>4} wkr {plane:>4}: qps {row['qps']:>9.1f}  "
-                    f"p50 {row['p50_us']:>7.1f}us  "
-                    f"p99 {row['p99_us']:>7.1f}us  "
-                    f"speedup {row['speedup_vs_sequential']:.2f}x  "
-                    f"dispatch {row['dispatch_overhead_us']:>7.1f}us  "
-                    f"pipe {row['pipe_bytes_per_batch']:>8.1f}B/batch  "
-                    f"errors {row['errors']}  restarts {row['restarts']}"
-                )
+            reports = _serve_rounds(path, batch, expected, workers, rounds)
+            best = max(reports, key=lambda r: r.queries_per_second)
+            row = best.summary()
+            row["rounds"] = rounds
+            row["dispatch_overhead_us"] = round(
+                statistics.median(r.dispatch_overhead_us for r in reports),
+                3,
+            )
+            row["speedup_vs_sequential"] = round(
+                best.queries_per_second / seq["qps"], 3
+            )
+            result["workers"][f"{workers}w"] = row
+            print(
+                f"{workers:>4} wkr: qps {row['qps']:>9.1f}  "
+                f"p50 {row['p50_us']:>7.1f}us  "
+                f"p99 {row['p99_us']:>7.1f}us  "
+                f"speedup {row['speedup_vs_sequential']:.2f}x  "
+                f"dispatch {row['dispatch_overhead_us']:>7.1f}us  "
+                f"pipe {row['pipe_bytes_per_batch']:>8.1f}B/batch  "
+                f"errors {row['errors']}  restarts {row['restarts']}"
+            )
     return result
 
 
@@ -295,15 +274,12 @@ def run_sharded(smoke: bool = False, query_count: int | None = None) -> dict:
     """The sharded serving plane: K per-shard pools plus stitching.
 
     Serves the same batch through :class:`ShardedQueryService` at each
-    ``(workers_per_shard, shards)`` combination — on **both** stitch
-    planes when NumPy is available — asserting *bitwise* answer parity
-    with the sequential unsharded oracle every round on every plane.
+    ``(workers_per_shard, shards)`` combination, asserting *bitwise*
+    answer parity with the sequential unsharded oracle every round.
     The graph is a unit-weight grid so float addition is exact and the
-    stitched sums cannot drift.  Each row keeps its PR 8 key and is the
-    default (frozen) plane's best round, now including ``stitch_us``,
-    ``closure_hits``, and the same-/cross-shard latency split from
-    ``summary()``; ``scalar_stitch_us`` carries the scalar plane's cost
-    for the same batch so the dispatcher-side win is visible per row.
+    stitched sums cannot drift.  Each row is the best round, including
+    ``stitch_us``, ``closure_hits``, and the same-/cross-shard latency
+    split from ``summary()``.
     """
     rows_cols = 8 if smoke else 20
     graph = grid_network(rows_cols, rows_cols)
@@ -335,32 +311,24 @@ def run_sharded(smoke: bool = False, query_count: int | None = None) -> dict:
             )
             info = sharded_snapshot_info(target)
             shard_bytes = info["shard_file_bytes"]
-            planes = ("frozen", "scalar") if HAVE_NUMPY else ("scalar",)
             for workers in worker_counts:
-                best_by_plane = {}
-                for plane in planes:
-                    reports = []
-                    with ShardedQueryService(
-                        target, workers_per_shard=workers,
-                        stitch_plane=plane,
-                    ) as service:
-                        for _ in range(rounds):
-                            report = service.run(batch)
-                            assert report.answers == expected, (
-                                f"{workers}w-{shards}shard {plane} "
-                                f"answers diverge from the unsharded "
-                                f"sequential baseline"
-                            )
-                            assert report.error_count == 0, (
-                                f"{workers}w-{shards}shard {plane} run "
-                                f"reported per-query errors on a clean "
-                                f"workload: {report.error_indices[:5]}"
-                            )
-                            reports.append(report)
-                    best_by_plane[plane] = max(
-                        reports, key=lambda r: r.queries_per_second
-                    )
-                best = best_by_plane[planes[0]]
+                reports = []
+                with ShardedQueryService(
+                    target, workers_per_shard=workers
+                ) as service:
+                    for _ in range(rounds):
+                        report = service.run(batch)
+                        assert report.answers == expected, (
+                            f"{workers}w-{shards}shard answers diverge "
+                            f"from the unsharded sequential baseline"
+                        )
+                        assert report.error_count == 0, (
+                            f"{workers}w-{shards}shard run reported "
+                            f"per-query errors on a clean workload: "
+                            f"{report.error_indices[:5]}"
+                        )
+                        reports.append(report)
+                best = max(reports, key=lambda r: r.queries_per_second)
                 row = best.summary()
                 row["rounds"] = rounds
                 row["shard_loads"] = list(best.shard_loads)
@@ -369,13 +337,9 @@ def run_sharded(smoke: bool = False, query_count: int | None = None) -> dict:
                 row["speedup_vs_sequential"] = round(
                     best.queries_per_second / seq["qps"], 3
                 )
-                if "scalar" in best_by_plane:
-                    row["scalar_stitch_us"] = round(
-                        best_by_plane["scalar"].stitch_us, 3
-                    )
                 result["workers"][f"{workers}w-{shards}shard"] = row
                 print(
-                    f"{workers:>2}w x {shards} shards ({row['stitch_plane']}): "
+                    f"{workers:>2}w x {shards} shards: "
                     f"qps {row['qps']:>9.1f}  "
                     f"p50 {row['p50_us']:>7.1f}us  "
                     f"stitch {row['stitch_us']:>7.1f}us  "
@@ -403,8 +367,6 @@ def run_stitch_micro(smoke: bool = False, query_count: int | None = None) -> dic
     carries the usual caveat: on a single-core container the absolute
     times are upper bounds, but both planes pay the same core.
     """
-    if not HAVE_NUMPY:
-        return {"skipped": "numpy unavailable"}
     rows_cols = 8 if smoke else 48
     shards = 2 if smoke else 4
     graph = road_network(rows_cols, rows_cols, seed=SEED)
@@ -500,8 +462,6 @@ def run_stitch_micro(smoke: bool = False, query_count: int | None = None) -> dic
 
 
 def format_stitch_micro(result: dict) -> str:
-    if "skipped" in result:
-        return f"Stitch micro: skipped ({result['skipped']})"
     return (
         "Frozen-closure stitch vs scalar heap walk "
         "(failure-free cross-shard, stitch step only)\n"
@@ -521,18 +481,16 @@ def format_sharded_result(result: dict) -> str:
         f"rounds(best-of)={result['rounds']}  "
         f"cpu_count={result['cpu_count']}  "
         f"sequential qps={result['sequential']['qps']:.1f}",
-        f"{'backend':>12} {'plane':>7} {'qps':>10} {'p50 us':>9} "
-        f"{'speedup':>8} {'stitch us':>10} {'scalar us':>10} "
+        f"{'backend':>12} {'qps':>10} {'p50 us':>9} "
+        f"{'speedup':>8} {'stitch us':>10} "
         f"{'closure':>8} {'cross':>6} {'manifest B':>11}",
     ]
     for backend, row in result["workers"].items():
-        scalar_us = row.get("scalar_stitch_us")
         lines.append(
-            f"{backend:>12} {row['stitch_plane']:>7} "
+            f"{backend:>12} "
             f"{row['qps']:>10.1f} {row['p50_us']:>9.1f} "
             f"{row['speedup_vs_sequential']:>8.2f} "
             f"{row['stitch_us']:>10.1f} "
-            f"{scalar_us if scalar_us is not None else '-':>10} "
             f"{row['closure_hits']:>8} "
             f"{row['cross_shard_ratio']:>6.3f} "
             f"{row['manifest_bytes']:>11}"
@@ -618,23 +576,19 @@ def main() -> None:
             assert 0.0 <= row["cross_shard_ratio"] <= 1.0
             assert row["errors"] == 0
             assert row["stitch_us"] >= 0.0
-            if HAVE_NUMPY:
-                assert row["stitch_plane"] == "frozen"
-        if "skipped" not in micro:
-            assert micro["closure_speedup"] > 0.0
+        assert micro["closure_speedup"] > 0.0
         print(
             "smoke run OK (parity held, zipf hit the cache, "
-            "sharded stitching matched bitwise on both planes)"
+            "sharded stitching matched the unsharded oracle bitwise)"
         )
         return
-    if "skipped" not in micro:
-        # The tentpole's acceptance bar: the failure-free closure fast
-        # path must at least halve the median cross-shard stitch cost
-        # relative to the scalar heap walk at the paper's road scale.
-        assert micro["closure_speedup"] >= 2.0, (
-            f"closure fast path only {micro['closure_speedup']:.2f}x "
-            f"over the scalar stitcher (need >= 2x)"
-        )
+    # The failure-free closure fast path must at least halve the median
+    # cross-shard stitch cost relative to the scalar heap walk at the
+    # paper's road scale.
+    assert micro["closure_speedup"] >= 2.0, (
+        f"closure fast path only {micro['closure_speedup']:.2f}x "
+        f"over the scalar stitcher (need >= 2x)"
+    )
     write_result("throughput", format_result(result))
     write_result("throughput_zipf", format_zipf_result(zipf))
     write_result("throughput_sharded", format_sharded_result(sharded))
@@ -643,8 +597,7 @@ def main() -> None:
     for name, graph_result in zipf.items():
         entries[f"{graph_result['oracle']}@{name}-zipf"] = graph_result
     entries[f"{sharded['oracle']}@{sharded['graph']}"] = sharded
-    if "skipped" not in micro:
-        entries[f"stitch-micro@{micro['graph']}-{micro['shards']}shard"] = micro
+    entries[f"stitch-micro@{micro['graph']}-{micro['shards']}shard"] = micro
     path = merge_json(entries, THROUGHPUT_JSON)
     print(f"wrote {path}")
     print(format_result(result))
@@ -658,17 +611,11 @@ def main() -> None:
 # ----------------------------------------------------------------------
 def test_throughput_smoke():
     result = run(smoke=True)
-    for plane in RESULT_PLANES:
-        row = result["workers"][f"2w-{plane}"]
-        assert row["queries"] == result["queries"]
-        assert row["qps"] > 0.0
-        assert row["result_plane"] == plane
-        assert row["pipe_bytes_per_batch"] > 0.0
-    # The whole point of the shm plane: answers stop crossing the pipe.
-    assert (
-        result["workers"]["2w-shm"]["pipe_bytes_per_batch"]
-        < result["workers"]["2w-pipe"]["pipe_bytes_per_batch"]
-    )
+    row = result["workers"]["2w"]
+    assert row["queries"] == result["queries"]
+    assert row["qps"] > 0.0
+    assert row["result_plane"] == "shm"
+    assert row["pipe_bytes_per_batch"] > 0.0
 
 
 def test_zipf_cache_smoke():
@@ -689,9 +636,9 @@ def test_sharded_smoke():
     result = run_sharded(smoke=True)
     row = result["workers"]["1w-2shard"]
     # Parity with the unsharded oracle is asserted inside run_sharded
-    # (bitwise, on both stitch planes — the grid's unit weights make
-    # float addition exact); here: the routing stats, per-shard
-    # memory, and the stitch-plane stamps must all be present.
+    # (bitwise — the grid's unit weights make float addition exact);
+    # here: the routing stats, per-shard memory, and the stitch stamps
+    # must all be present.
     assert row["shards"] == 2
     assert 0.0 <= row["cross_shard_ratio"] <= 1.0
     assert len(row["shard_loads"]) == 2
@@ -699,18 +646,12 @@ def test_sharded_smoke():
     assert all(size > 0 for size in row["per_shard_bytes"].values())
     assert row["manifest_bytes"] > 0
     assert row["errors"] == 0
-    assert row["stitch_plane"] in ("scalar", "frozen")
     assert row["stitch_us"] >= 0.0
     assert isinstance(row["latency_split"], dict)
-    if HAVE_NUMPY:
-        assert row["stitch_plane"] == "frozen"
-        assert row["scalar_stitch_us"] >= 0.0
 
 
 def test_stitch_micro_smoke():
     result = run_stitch_micro(smoke=True)
-    if "skipped" in result:
-        return  # no numpy: the scalar plane is the only plane
     # No speed bar at smoke scale (5-border overlays fit in the scalar
     # walk's noise floor); the answers must agree and the stamps exist.
     assert result["queries"] > 0

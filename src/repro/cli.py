@@ -303,13 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=int, default=None, help="queries per dispatch"
     )
     serve.add_argument(
-        "--result-plane",
-        choices=("shm", "pipe"),
-        default=None,
-        help="result channel: shm ring or pipe pickle "
-        "(default: DSO_RESULT_PLANE env, else shm)",
-    )
-    serve.add_argument(
         "--cache-size",
         type=int,
         default=0,
@@ -335,15 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform",
         help="query workload: uniform pairs or zipf-skewed repeated "
         "pairs (default uniform)",
-    )
-    serve.add_argument(
-        "--stitch-plane",
-        choices=("scalar", "frozen"),
-        default=None,
-        help="sharded snapshots only: stitch cross-shard answers with "
-        "the scalar heap walk or the frozen CSR kernels "
-        "(default: DSO_STITCH_PLANE env, else frozen when numpy is "
-        "available)",
     )
 
     return parser
@@ -643,11 +627,6 @@ def _run_serve_bench(args) -> int:
     snapshot_path = Path(args.snapshot_file)
     if snapshot_path.is_dir() or snapshot_path.name == MANIFEST_NAME:
         return _run_serve_bench_sharded(args, worker_counts)
-    if args.stitch_plane is not None:
-        raise SystemExit(
-            "error: --stitch-plane applies to sharded snapshot "
-            "directories only"
-        )
 
     oracle = load_snapshot(args.snapshot_file)
     # The generators search the graph for on-path failures, so they
@@ -687,7 +666,6 @@ def _run_serve_bench(args) -> int:
             args.snapshot_file,
             workers=workers,
             chunk_size=args.chunk_size,
-            result_plane=args.result_plane,
             cache_size=args.cache_size,
             hot_pairs=args.hot_pairs,
             deadline_ms=args.deadline_ms,
@@ -797,18 +775,16 @@ def _run_serve_bench_sharded(args, worker_counts: list[int]) -> int:
         print(f"cache     : {args.cache_size} entries")
     if args.deadline_ms is not None:
         print(f"deadline  : {args.deadline_ms} ms")
-    print(f"{'workers':>8} {'stitch':>7} {'qps':>10} {'p50 us':>9} "
+    print(f"{'workers':>8} {'qps':>10} {'p50 us':>9} "
           f"{'p99 us':>9} {'stitch us':>10} {'cross%':>7} "
           f"{'closure':>8} {'hits':>6} {'shed%':>6} {'errors':>7}")
-    print(f"{'seq':>8} {'-':>7} {base_qps:>10.1f} {'-':>9} {'-':>9} "
+    print(f"{'seq':>8} {base_qps:>10.1f} {'-':>9} {'-':>9} "
           f"{'-':>10} {'-':>7} {'-':>8} {'-':>6} {'-':>6} {'-':>7}")
     for workers in worker_counts:
         with ShardedQueryService(
             args.snapshot_file,
             workers_per_shard=workers,
             chunk_size=args.chunk_size,
-            result_plane=args.result_plane,
-            stitch_plane=args.stitch_plane,
             cache_size=args.cache_size,
             deadline_ms=args.deadline_ms,
         ) as service:
@@ -829,7 +805,7 @@ def _run_serve_bench_sharded(args, worker_counts: list[int]) -> int:
                 f"sequential baseline at positions {diverged[:5]}"
             )
         print(
-            f"{workers:>8} {report.stitch_plane:>7} "
+            f"{workers:>8} "
             f"{report.queries_per_second:>10.1f} "
             f"{1e6 * report.p50_seconds:>9.1f} "
             f"{1e6 * report.p99_seconds:>9.1f} "

@@ -47,10 +47,6 @@ engine over thousands of road-network queries during development):
 The kernel returns ``inf`` for a query whose best overlay answer is
 unreachable; the caller (:meth:`FrozenDISO.query_many`) applies the
 same DISO-S fallback the scalar path would.
-
-NumPy is an optional dependency of this repo: when it is missing,
-:data:`HAVE_NUMPY` is ``False`` and callers route batches through the
-scalar loop instead — same answers, no speedup.
 """
 
 from __future__ import annotations
@@ -58,14 +54,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from heapq import heappop, heappush
 
-try:  # NumPy is optional at runtime; the scalar path needs none of this.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via HAVE_NUMPY gating
-    np = None
+import numpy as np
 
 from repro.oracle.base import INFINITY
-
-HAVE_NUMPY = np is not None
 
 #: Sweep-pivot tuning: when the frontier exceeds ``PIVOT_MIN`` keys,
 #: only the closest ``PIVOT_FRAC`` fraction (never fewer than
@@ -93,8 +84,6 @@ class DisoBatchKernel:
     """
 
     def __init__(self, frozen, index) -> None:
-        if not HAVE_NUMPY:
-            raise RuntimeError("DisoBatchKernel requires numpy")
         self.frozen = frozen
         self.index = index
         self.num_transit = index.num_transit()

@@ -174,17 +174,15 @@ class FrozenDISO(DistanceSensitivityOracle):
     def _batch_kernel(self):
         """This engine's (lazily built, cached) vectorized kernel.
 
-        ``None`` when the engine opted out or NumPy is unavailable —
-        callers fall back to the scalar loop either way.
+        ``None`` when the engine opted out — callers then take the
+        scalar loop.
         """
         if not self._batched_overlay:
             return None
         kernel = getattr(self, "_kernel_cache", None)
         if kernel is None:
-            from repro.oracle.batch_kernel import HAVE_NUMPY, DisoBatchKernel
+            from repro.oracle.batch_kernel import DisoBatchKernel
 
-            if not HAVE_NUMPY:
-                return None
             kernel = DisoBatchKernel(self.frozen, self.index)
             self._kernel_cache = kernel
         return kernel
@@ -197,7 +195,7 @@ class FrozenDISO(DistanceSensitivityOracle):
         **bitwise identical** to ``[self.query(...) for ...]``
         (property-tested): DISO/DISO-S batches run the vectorized
         overlay kernel (:mod:`repro.oracle.batch_kernel`), ADISO
-        batches and NumPy-less environments take the scalar loop.  An
+        batches take the scalar loop.  An
         invalid query raises exactly what the scalar loop would raise
         at its position; use :meth:`answer_many` for the per-query
         sentinel form instead.

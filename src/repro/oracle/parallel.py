@@ -5,17 +5,14 @@ algorithms never write to the index, "they can handle multiple queries
 in parallel, each of which is processed with a separate thread on the
 same index structure", linearly increasing throughput.
 
-:class:`QueryEngine` packages that pattern with two backends:
-
-* ``threads`` — a thread pool over a single in-memory oracle.  In
-  CPython the GIL bounds the speed-up for pure-Python workloads, but
-  the *correctness* claim — concurrent failure queries on one index, no
-  locking, no cross-talk — holds and is what the tests verify.
-* ``processes`` — for frozen oracles, the index is written once as a
-  binary snapshot (:mod:`repro.oracle.snapshot`) and served by a
-  :class:`repro.serving.QueryService` process pool, sidestepping the
-  GIL entirely: each worker maps the same read-only file and answers
-  its shard with a private interpreter.
+:class:`QueryEngine` packages that pattern as a thread pool over a
+single in-memory oracle.  In CPython the GIL bounds the speed-up for
+pure-Python workloads, but the *correctness* claim — concurrent failure
+queries on one index, no locking, no cross-talk — holds and is what the
+tests verify.  To sidestep the GIL, write a frozen oracle once as a
+binary snapshot (:func:`repro.oracle.snapshot.save_snapshot`) and serve
+it with a :class:`repro.serving.QueryService` process pool: each worker
+maps the same read-only file and answers with a private interpreter.
 """
 
 from __future__ import annotations
@@ -51,22 +48,6 @@ class ThroughputReport:
     wall_seconds: float
     threads: int
     latencies: list[float] = field(default_factory=list)
-    #: Per-query error messages (process backend only), aligned with
-    #: ``answers``; ``None`` for a query that succeeded.  The thread
-    #: backend shares one in-process oracle and lets query exceptions
-    #: propagate, so this stays empty there.
-    errors: list[str | None] = field(default_factory=list)
-    #: Dispatcher-cache hits (process backend with ``cache_size > 0``).
-    cache_hits: int = 0
-    #: Hits served from hot-pair precomputed entries specifically.
-    precomputed_hits: int = 0
-    #: Input positions shed by deadline admission control.
-    shed_indices: list[int] = field(default_factory=list)
-    #: Shard count of the serving plane behind this run; 0 everywhere
-    #: except the sharded process backend.
-    shards: int = 0
-    #: Fraction of the batch stitched across shards (sharded plane).
-    cross_shard_ratio: float = 0.0
 
     @property
     def queries_per_second(self) -> float:
@@ -74,20 +55,6 @@ class ThroughputReport:
         if self.wall_seconds <= 0:
             return float("inf")
         return len(self.answers) / self.wall_seconds
-
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Fraction of the batch served from the dispatcher cache."""
-        if not self.answers:
-            return 0.0
-        return self.cache_hits / len(self.answers)
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of the batch shed by admission control."""
-        if not self.answers:
-            return 0.0
-        return len(self.shed_indices) / len(self.answers)
 
     @property
     def p50_seconds(self) -> float:
@@ -99,14 +66,9 @@ class ThroughputReport:
         """Nearest-rank 99th percentile per-query latency."""
         return latency_percentile(self.latencies, 0.99)
 
-    @property
-    def error_count(self) -> int:
-        """Number of queries that came back as per-query errors."""
-        return sum(1 for message in self.errors if message is not None)
-
 
 class QueryEngine:
-    """A worker pool answering distance sensitivity queries.
+    """A thread pool answering distance sensitivity queries.
 
     Parameters
     ----------
@@ -116,21 +78,7 @@ class QueryEngine:
         performs update-then-rollback per query.  Passing an FDDO
         raises immediately rather than racing silently.
     threads:
-        Thread-pool size for the default in-process backend.
-    processes:
-        When > 0, batches run on a process pool instead: the oracle is
-        snapshotted to a temporary file on first use and served by
-        ``processes`` snapshot-mapped workers.  Requires a frozen
-        oracle (``DISO(...).freeze()`` or ``ADISO(...).freeze()``).
-        Call :meth:`close` (or use the engine as a context manager) to
-        reap the workers and the temporary snapshot.
-    cache_size, hot_pairs, deadline_ms:
-        Forwarded to :class:`repro.serving.QueryService` — the
-        dispatcher-level result cache, hot-pair precomputation, and
-        deadline load-shedding (DESIGN.md §12).  Process backend only:
-        passing any of them with ``processes=0`` raises, because the
-        thread backend answers in-process and has no dispatcher to put
-        a cache in front of.
+        Thread-pool size.
 
     Examples
     --------
@@ -144,13 +92,7 @@ class QueryEngine:
     """
 
     def __init__(
-        self,
-        oracle: DistanceSensitivityOracle,
-        threads: int = 4,
-        processes: int = 0,
-        cache_size: int = 0,
-        hot_pairs: int = 0,
-        deadline_ms: float | None = None,
+        self, oracle: DistanceSensitivityOracle, threads: int = 4
     ) -> None:
         from repro.baselines.fddo import FDDOOracle
 
@@ -161,91 +103,11 @@ class QueryEngine:
             )
         if threads < 1:
             raise ValueError("threads must be >= 1")
-        if processes < 0:
-            raise ValueError("processes must be >= 0")
-        if not processes and (cache_size or hot_pairs or deadline_ms):
-            raise ValueError(
-                "cache_size/hot_pairs/deadline_ms configure the serving "
-                "dispatcher and need the process backend (processes > 0)"
-            )
-        if processes:
-            from repro.oracle.frozen import FrozenDISO
-
-            if not isinstance(oracle, FrozenDISO):
-                raise ValueError(
-                    "the process backend serves snapshot files and needs a "
-                    "frozen oracle — call .freeze() on the DISO/ADISO first"
-                )
         self.oracle = oracle
         self.threads = threads
-        self.processes = processes
-        self.cache_size = cache_size
-        self.hot_pairs = hot_pairs
-        self.deadline_ms = deadline_ms
-        self._service = None
-        self._snapshot_dir = None
 
-    # ------------------------------------------------------------------
-    # Process backend plumbing
-    # ------------------------------------------------------------------
-    def _ensure_service(self):
-        """Snapshot the oracle and start the worker pool (first use)."""
-        if self._service is None:
-            import tempfile
-            from pathlib import Path
-
-            from repro.oracle.snapshot import save_snapshot
-            from repro.serving import QueryService
-
-            self._snapshot_dir = tempfile.TemporaryDirectory(
-                prefix="dso-engine-"
-            )
-            path = Path(self._snapshot_dir.name) / "oracle.dsosnap"
-            save_snapshot(self.oracle, path)
-            self._service = QueryService(
-                path,
-                workers=self.processes,
-                cache_size=self.cache_size,
-                hot_pairs=self.hot_pairs,
-                deadline_ms=self.deadline_ms,
-            )
-            self._service.start()
-        return self._service
-
-    def close(self) -> None:
-        """Stop process-backend workers and delete the temp snapshot."""
-        if self._service is not None:
-            self._service.stop()
-            self._service = None
-        if self._snapshot_dir is not None:
-            self._snapshot_dir.cleanup()
-            self._snapshot_dir = None
-
-    def __enter__(self) -> "QueryEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Batch execution
-    # ------------------------------------------------------------------
     def run(self, queries: Sequence[Query]) -> ThroughputReport:
         """Answer ``queries`` concurrently; results keep input order."""
-        if self.processes:
-            report = self._ensure_service().run(queries)
-            return ThroughputReport(
-                answers=report.answers,
-                wall_seconds=report.wall_seconds,
-                threads=self.processes,
-                latencies=report.latencies,
-                errors=report.errors,
-                cache_hits=report.cache_hits,
-                precomputed_hits=report.precomputed_hits,
-                shed_indices=report.shed_indices,
-                shards=report.shards,
-                cross_shard_ratio=report.cross_shard_ratio,
-            )
         if self.threads == 1:
             # One worker means nothing to schedule: answer in the
             # calling thread.  Routing through a fresh executor would

@@ -80,11 +80,9 @@ class ResultCache:
     Notes
     -----
     Thread-safe: the serving dispatcher is single-threaded today, but
-    the cache is also reachable through :class:`~repro.oracle.parallel.
-    QueryEngine` instances that callers may share across threads, so
-    every mutation and every stats snapshot takes the lock (the same
-    discipline as :class:`repro.oracle.caching.CachingDISO`'s endpoint
-    cache).
+    callers may share one cache across threads, so every mutation and
+    every stats snapshot takes the lock (the same discipline as
+    :class:`repro.oracle.caching.CachingDISO`'s endpoint cache).
     """
 
     def __init__(self, capacity: int) -> None:

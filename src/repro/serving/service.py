@@ -27,17 +27,15 @@ per-run:
   pong (alive, but a result was lost) its chunks are re-sent; if it
   stays silent past ``ping_timeout`` (hung or wedged) it is replaced.
 
-Result planes (v3, spec in DESIGN.md §11): by default answers travel
-through a per-run :class:`~repro.serving.ring.ResultRing` — a
-preallocated ``multiprocessing.shared_memory`` float64 ring with one
-slot per chunk — and the pipe carries only small epoch-tagged
-completion records, so the dispatcher stops paying pickle cost
-proportional to the answer volume.  ``result_plane="pipe"`` (or env
-``DSO_RESULT_PLANE=pipe``) restores the v2 all-pipe channel for
-platforms without usable shared memory; both planes produce identical
-reports, and the shm plane additionally falls back per-run (ring
-creation failure) and per-batch (worker-side attach/write failure)
-without losing answers.
+Result plane (v3, spec in DESIGN.md §11): answers travel through a
+per-run :class:`~repro.serving.ring.ResultRing` — a preallocated
+``multiprocessing.shared_memory`` float64 ring with one slot per chunk
+— and the pipe carries only small epoch-tagged completion records, so
+the dispatcher stops paying pickle cost proportional to the answer
+volume.  Where no usable shared memory exists the run falls back to
+whole answers on the pipe, per run (ring creation fails; logged as a
+warning) or per batch (a worker cannot attach to or write the ring),
+without losing answers; :attr:`ServeReport.result_plane` says which.
 
 Caching and admission (v4, spec in DESIGN.md §12): with
 ``cache_size > 0`` the dispatcher keeps a
@@ -65,6 +63,7 @@ the pipes, and the float lanes of the result ring.
 
 from __future__ import annotations
 
+import logging
 import math
 import multiprocessing
 import os
@@ -87,8 +86,7 @@ from repro.serving.ring import ResultRing
 from repro.serving.worker import worker_main
 from repro.workload.queries import Query
 
-#: Recognised ``result_plane`` values.
-RESULT_PLANES = ("shm", "pipe")
+logger = logging.getLogger(__name__)
 
 #: Seconds to wait for a freshly spawned worker to map the snapshot.
 _READY_TIMEOUT = 60.0
@@ -130,8 +128,8 @@ class ServeReport:
     #: Per-query error messages, aligned with ``answers``; ``None`` for
     #: a query that succeeded.  An errored query's answer is NaN.
     errors: list[str | None] = field(default_factory=list)
-    #: Result plane the run actually used (``"shm"`` may degrade to
-    #: ``"pipe"`` when no usable shared memory exists).
+    #: ``"shm"`` when the run had a result ring; ``"pipe"`` when it
+    #: fell back to the pipe because no ring could be created.
     result_plane: str = "pipe"
     #: Dispatcher-side seconds spent decoding results per accepted
     #: batch: unpickling the pipe payload plus, on the shm plane, the
@@ -175,12 +173,8 @@ class ServeReport:
     #: leg (already counted in ``shard_loads``).  0 on the unsharded
     #: plane.
     repair_legs: int = 0
-    #: Stitch plane the sharded dispatcher combined legs with
-    #: (``"scalar"`` heap walk or ``"frozen"`` CSR kernels); empty on
-    #: the unsharded plane.
-    stitch_plane: str = ""
     #: Dispatcher-side seconds spent stitching answered legs into final
-    #: answers (the cost the frozen plane exists to shrink).
+    #: answers.
     stitch_seconds: float = 0.0
     #: Cross-shard queries answered by the precomputed border closure
     #: (failure-free fast path) instead of an overlay search.
@@ -274,7 +268,7 @@ class ServeReport:
         return 1e6 * self.stitch_seconds / len(self.answers)
 
     def summary(self) -> dict:
-        """The comparison row shared with ``ThroughputReport``."""
+        """The run's headline numbers as one flat comparison row."""
         row = {
             "workers": self.workers,
             "queries": len(self.answers),
@@ -294,7 +288,6 @@ class ServeReport:
             "cross_shard_ratio": round(self.cross_shard_ratio, 3),
         }
         if self.shards:
-            row["stitch_plane"] = self.stitch_plane
             row["stitch_us"] = round(self.stitch_us, 3)
             row["closure_hits"] = self.closure_hits
             row["repair_legs"] = self.repair_legs
@@ -419,13 +412,6 @@ class QueryService:
         Optional :class:`repro.serving.faults.FaultPlan` shipped to
         every spawned worker — the deterministic fault-injection rig
         used by the test suite.  Leave ``None`` in production.
-    result_plane:
-        ``"shm"`` (default) ships answers through a per-run
-        shared-memory :class:`~repro.serving.ring.ResultRing`;
-        ``"pipe"`` keeps the protocol-v2 all-pipe result channel for
-        platforms without usable shared memory.  ``None`` reads the
-        ``DSO_RESULT_PLANE`` environment variable, falling back to
-        ``"shm"``.  Answers are identical either way.
     cache_size:
         When > 0, keep a dispatcher-level
         :class:`~repro.serving.cache.ResultCache` of at most this many
@@ -471,7 +457,6 @@ class QueryService:
         batch_timeout: float = 30.0,
         ping_timeout: float = 5.0,
         fault_plan=None,
-        result_plane: str | None = None,
         cache_size: int = 0,
         hot_pairs: int = 0,
         deadline_ms: float | None = None,
@@ -487,16 +472,8 @@ class QueryService:
                 "hot-pair precomputation stores its answers in the result "
                 "cache; pass cache_size > 0 alongside hot_pairs"
             )
-        if result_plane is None:
-            result_plane = os.environ.get("DSO_RESULT_PLANE") or "shm"
-        if result_plane not in RESULT_PLANES:
-            raise ValueError(
-                f"result_plane must be one of {RESULT_PLANES}, "
-                f"got {result_plane!r}"
-            )
-        self.result_plane = result_plane
         #: The current run's ring; ``None`` between runs / on the pipe
-        #: plane.  Replacement/resend paths read it to rebuild batch
+        #: fallback.  Replacement/resend paths read it to rebuild batch
         #: messages mid-run.
         self._ring: ResultRing | None = None
         self.snapshot_path = str(snapshot_path)
@@ -804,18 +781,23 @@ class QueryService:
                 else 1
             )
         ring: ResultRing | None = None
-        if n_dispatch and self.result_plane == "shm":
+        if n_dispatch:
             try:
                 ring = ResultRing.create(math.ceil(n_dispatch / size), size)
-            except (OSError, ValueError):
-                ring = None  # no usable shared memory: pipe fallback
+            except (OSError, ValueError) as exc:
+                # No usable shared memory: this run's answers ride the
+                # pipe instead.
+                logger.warning(
+                    "result ring unavailable (%s); run falls back to the "
+                    "pipe", exc,
+                )
         if ring is not None:
             # Typed result buffers: per-batch harvesting memcpys ring
             # lanes straight into these (ring.read_into) and the floats
             # are boxed once, in bulk, after the collect loop — the
-            # pipe plane has no such option (every payload must be
+            # pipe fallback has no such option (every payload must be
             # unpickled on arrival), which is exactly the per-batch
-            # dispatch overhead the shm plane exists to shed.
+            # dispatch overhead the ring exists to shed.
             answer_buf = array("d", [float("nan")]) * n_dispatch
             latency_buf = array("d", [0.0]) * n_dispatch
             sink = (memoryview(answer_buf), memoryview(latency_buf))

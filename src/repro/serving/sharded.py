@@ -42,23 +42,18 @@ and every query in a batch under the same ``F_k`` shares one repair set
 (repaired rows are additionally memoized *across* batches per
 ``(shard, canonical F_k)``, least recently used out first, until the
 snapshot epoch retires) — then each shard's pool answers its batch
-through the ordinary dispatcher (result planes, crash replacement,
+through the ordinary dispatcher (result ring, crash replacement,
 epoch fencing all inherited).  ``ServeReport.repair_legs`` counts the
 legs a run dispatched for repair alone.
 
-Stitching runs in this process over the answered legs, on one of two
-planes (DESIGN.md §14), selected by the ``stitch_plane`` knob or the
-``DSO_STITCH_PLANE`` environment variable:
-
-* ``"scalar"`` — the PR 8 per-query heap walk
-  (:func:`~repro.sharding.oracle.stitch_over_borders`);
-* ``"frozen"`` (default when NumPy is available) — the compiled
-  :class:`~repro.sharding.frozen_overlay.FrozenOverlay`: queries are
-  grouped by failure patch and stitched per group by the batched CSR
-  kernel, and failure-free cross-shard queries collapse to the
-  precomputed border closure (two leg lookups + one matrix min).
-  Answers are bitwise-identical to the scalar plane on every graph the
-  parity suite runs.
+Stitching runs in this process over the answered legs, on the
+compiled :class:`~repro.sharding.frozen_overlay.FrozenOverlay`
+(DESIGN.md §14): queries are grouped by failure patch and stitched per
+group by the batched CSR kernel, and failure-free cross-shard queries
+collapse to the precomputed border closure (two leg lookups + one
+matrix min).  Answers are bitwise-identical to the scalar heap walk
+:class:`~repro.sharding.oracle.ShardedOracle` stitches with on every
+graph the parity suite runs.
 
 The dispatcher-level ``cache_size`` / ``deadline_ms`` knobs mirror the
 unsharded service: result-cache entries are stamped with the *sum* of
@@ -70,12 +65,11 @@ Error semantics match the unsharded plane: a poison endpoint yields a
 NaN answer and a ``"QueryError: ..."`` message (same text the worker
 would produce), never an aborted run; a failed leg poisons exactly the
 queries that needed it, scanning legs in a fixed local → outbound →
-inbound → repairs order on both stitch planes.
+inbound → repairs order.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 from collections.abc import Sequence
@@ -90,16 +84,12 @@ from repro.serving.service import (
     _wire_query,
 )
 from repro.serving.worker import QUERY_ERROR
-from repro.sharding.frozen_overlay import HAVE_NUMPY
-from repro.sharding.oracle import INFINITY, stitch_over_borders
+from repro.sharding.oracle import INFINITY
 from repro.sharding.snapshot import (
     load_frozen_overlay,
     load_shard_plan_overlay,
     load_shard_reach,
 )
-
-#: Recognised stitch planes for :class:`ShardedQueryService`.
-STITCH_PLANES = ("scalar", "frozen")
 
 #: Cross-batch repaired-row memo entries kept per service (each entry
 #: is one shard's full border matrix under one failure set); after each
@@ -168,14 +158,9 @@ class ShardedQueryService:
         Pool size of each shard's inner :class:`QueryService`.
     verify:
         Verify manifest and shard checksums while loading.
-    start_method, result_plane, chunk_size, max_restarts,
-    batch_timeout, ping_timeout:
+    start_method, chunk_size, max_restarts, batch_timeout,
+    ping_timeout:
         Forwarded to every inner :class:`QueryService`.
-    stitch_plane:
-        ``"frozen"`` (CSR kernels + closure fast path; requires NumPy)
-        or ``"scalar"`` (the per-query heap walk).  ``None`` reads
-        ``DSO_STITCH_PLANE``, then defaults to ``"frozen"`` when NumPy
-        is importable.
     cache_size:
         Dispatcher result-cache capacity (0 disables).  Entries are
         epoch-stamped across *all* shard pools.
@@ -205,12 +190,10 @@ class ShardedQueryService:
         workers_per_shard: int = 1,
         verify: bool = True,
         start_method: str | None = None,
-        result_plane: str | None = None,
         chunk_size: int | None = None,
         max_restarts: int | None = None,
         batch_timeout: float = 30.0,
         ping_timeout: float = 5.0,
-        stitch_plane: str | None = None,
         cache_size: int = 0,
         deadline_ms: float | None = None,
     ) -> None:
@@ -218,20 +201,6 @@ class ShardedQueryService:
             raise ValueError("workers_per_shard must be >= 1")
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
-        if stitch_plane is None:
-            stitch_plane = os.environ.get("DSO_STITCH_PLANE") or None
-        if stitch_plane is None:
-            stitch_plane = "frozen" if HAVE_NUMPY else "scalar"
-        if stitch_plane not in STITCH_PLANES:
-            raise ValueError(
-                f"stitch_plane must be one of {STITCH_PLANES}, "
-                f"got {stitch_plane!r}"
-            )
-        if stitch_plane == "frozen" and not HAVE_NUMPY:
-            raise ValueError(
-                "stitch_plane='frozen' requires numpy; "
-                "pass stitch_plane='scalar'"
-            )
         self.snapshot_dir = str(snapshot_dir)
         overlay, meta, shard_paths = load_shard_plan_overlay(
             snapshot_dir, verify=verify
@@ -245,18 +214,12 @@ class ShardedQueryService:
         self.meta = meta
         self.shards = overlay.parts
         self.workers_per_shard = workers_per_shard
-        self.stitch_plane = stitch_plane
-        self._frozen = (
-            load_frozen_overlay(snapshot_dir, verify=verify)
-            if stitch_plane == "frozen"
-            else None
-        )
+        self._frozen = load_frozen_overlay(snapshot_dir, verify=verify)
         self._services = [
             QueryService(
                 path,
                 workers=workers_per_shard,
                 start_method=start_method,
-                result_plane=result_plane,
                 chunk_size=chunk_size,
                 max_restarts=max_restarts,
                 batch_timeout=batch_timeout,
@@ -312,8 +275,7 @@ class ShardedQueryService:
         """Stop every shard pool and release the frozen overlay mmap."""
         for service in self._services:
             service.stop()
-        if self._frozen is not None:
-            self._frozen.close()
+        self._frozen.close()
         self._started = False
 
     def __enter__(self) -> "ShardedQueryService":
@@ -483,8 +445,7 @@ class ShardedQueryService:
         Answers keep input order and are bitwise-identical (NaN
         sentinel included) to the unsharded frozen oracle whenever
         float addition over the graph's weights is exact — the
-        property the sharded parity suite locks down, on both stitch
-        planes.
+        property the sharded parity suite locks down.
         """
         started = time.perf_counter()
         self.start()
@@ -648,14 +609,13 @@ class ShardedQueryService:
             cross_shard_ratio=(cross / total) if wire else 0.0,
             shard_loads=[len(legs) for legs in shard_legs],
             repair_legs=_repair_only_legs(plans, repair_refs),
-            stitch_plane=self.stitch_plane,
             stitch_seconds=stitch_seconds,
             closure_hits=closure_hits,
             latency_split=split,
         )
 
     # ------------------------------------------------------------------
-    # Stitch planes
+    # Stitch
     # ------------------------------------------------------------------
     def _resolve_repairs(
         self, repair_refs: dict, leg_value
@@ -665,7 +625,7 @@ class ShardedQueryService:
         Each set starts from its shard's failure-free matrix and
         overwrites the affected entries with their answered legs.
         Returns ``rows_key -> (rows, first_error_message)``; scan order
-        inside a set is row-major, the same on both stitch planes, so
+        inside a set is row-major, as in :class:`ShardedOracle`, so
         error strings stay byte-identical.  Clean rows join the memo
         without evicting anything: ``run`` trims it after stitching.
         """
@@ -726,11 +686,11 @@ class ShardedQueryService:
         return ("stitch", sources, targets, local, repaired)
 
     def _stitch_all(self, plans, leg_value, repair_refs):
-        """Stitch every plan on the active plane; returns the lanes.
+        """Stitch every plan on the frozen overlay; returns the lanes.
 
         Per-query ``latencies`` measure dispatcher-side stitch work
-        only (leg resolution plus the walk/kernel share); the legs'
-        own worker time is accounted by the shard pools.
+        only (leg resolution plus the kernel share); the legs' own
+        worker time is accounted by the shard pools.
         """
         perf = time.perf_counter
         count = len(plans)
@@ -740,7 +700,7 @@ class ShardedQueryService:
         closure_hits = 0
         stitch_started = perf()
         resolved = self._resolve_repairs(repair_refs, leg_value)
-        frozen = self._frozen if self.stitch_plane == "frozen" else None
+        frozen = self._frozen
         #: patch signature -> (repaired, cross_failed, [(position, s, t, u)])
         groups: dict[tuple, tuple] = {}
         for position, plan in enumerate(plans):
@@ -751,20 +711,6 @@ class ShardedQueryService:
                 latencies[position] = perf() - tick
                 continue
             _, sources, targets, upper, repaired = outcome
-            if frozen is None:
-                targets_map = {
-                    border: value
-                    for border, value in targets
-                    if value < INFINITY
-                }
-                adjacency = self.overlay.adjacency(
-                    repaired or None, plan.cross_failed
-                )
-                answers[position] = stitch_over_borders(
-                    sources, targets_map, adjacency, upper_bound=upper
-                )
-                latencies[position] = perf() - tick
-                continue
             if (
                 not repaired
                 and not plan.cross_failed

@@ -1,6 +1,6 @@
 """The frozen stitch plane: CSR border overlay + batched stitch kernels.
 
-PR 8 made cross-shard queries correct; every one of them pays a pure
+The scalar stitcher answers every cross-shard query with a pure
 Python multi-source Dijkstra (:func:`repro.sharding.oracle.
 stitch_over_borders`) plus per-query repaired border rows.  This module
 compiles the :class:`~repro.sharding.oracle.BorderOverlay` into the
@@ -45,10 +45,6 @@ dyadic weights — every graph the sharded parity suite runs, and the
 same caveat DESIGN.md §13 already states for sharded-vs-unsharded
 parity) the two associations are equal, which the parity tests assert
 bitwise.
-
-NumPy is optional for this repo: with :data:`HAVE_NUMPY` false the
-serving plane keeps the PR 8 scalar stitcher and this module only
-offers :func:`compute_border_closure` (pure Python).
 """
 
 from __future__ import annotations
@@ -56,14 +52,9 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable
 
-try:  # NumPy is optional at runtime; the scalar stitcher needs none of this.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via HAVE_NUMPY gating
-    np = None
+import numpy as np
 
 from repro.sharding.oracle import INFINITY, BorderOverlay
-
-HAVE_NUMPY = np is not None
 
 
 def compute_border_closure(overlay: BorderOverlay) -> list[list[float]]:
@@ -166,8 +157,6 @@ class FrozenOverlay:
         weights,
         closure=None,
     ) -> None:
-        if not HAVE_NUMPY:
-            raise RuntimeError("FrozenOverlay requires numpy")
         #: Dense border id -> node id (globally sorted border list).
         self.border_ids = np.asarray(border_ids, dtype=np.int64)
         #: Dense border id -> owning shard.

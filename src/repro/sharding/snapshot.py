@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from repro.exceptions import FormatError
 from repro.oracle.snapshot import (
     SectionWriter,
@@ -39,7 +41,6 @@ from repro.oracle.snapshot import (
     save_snapshot,
 )
 from repro.sharding.frozen_overlay import (
-    HAVE_NUMPY,
     FrozenOverlay,
     compile_overlay_csr,
     compute_border_closure,
@@ -86,8 +87,8 @@ def save_sharded_snapshot(build, target: str | Path) -> Path:
 
     # Frozen stitch plane sections: the overlay pre-compiled to CSR
     # (dense border ids reuse ``borders.all``) plus the failure-free
-    # border closure.  Pure-Python compile, so the manifest bytes are
-    # identical with or without numpy installed at save time.
+    # border closure.  Pure-Python compile, so equal builds give equal
+    # manifest bytes.
     overlay = BorderOverlay(
         plan.assignment,
         plan.shard_borders,
@@ -198,7 +199,7 @@ def load_shard_plan_overlay(
 
 def load_frozen_overlay(
     source: str | Path, verify: bool = True
-) -> FrozenOverlay | None:
+) -> FrozenOverlay:
     """Load the frozen stitch plane from a manifest, zero-copy.
 
     When the manifest carries ``frozen.*`` sections the CSR lanes (and
@@ -206,13 +207,8 @@ def load_frozen_overlay(
     manifest mmap — no copies; the returned overlay keeps the reader
     open and releases it via :meth:`FrozenOverlay.close`.  Manifests
     predating the sections fall back to an in-memory compile (closure
-    included).  Returns ``None`` when NumPy is unavailable — callers
-    then stay on the scalar stitch plane.
+    included).
     """
-    if not HAVE_NUMPY:
-        return None
-    import numpy as np
-
     reader = _open_manifest(source, verify=verify)
     if not reader.has_section("frozen.offsets"):
         reader.close()

@@ -181,21 +181,6 @@ def test_batch_spans_multiple_kernel_blocks(monkeypatch):
     assert_bitwise(frozen.query_many(batch), expected)
 
 
-def test_numpyless_fallback_equivalence(monkeypatch):
-    # With the kernel unavailable the batch API must silently take the
-    # scalar loop and produce the same answers.
-    import repro.oracle.batch_kernel as batch_kernel
-
-    graph = random_graph(11, n=28, extra=50)
-    frozen = DISO(graph, tau=3).freeze()
-    batch = generate_queries(graph, 10, f_gen=2, p=0.01, seed=11)
-    with_kernel = frozen.query_many(batch)
-    monkeypatch.setattr(batch_kernel, "HAVE_NUMPY", False)
-    monkeypatch.setattr(frozen, "_kernel_cache", None, raising=False)
-    without_kernel = frozen.query_many(batch)
-    assert_bitwise(without_kernel, with_kernel)
-
-
 def test_module_level_query_many_on_dict_oracle():
     # Dict engines have no ``query_many``; the module helper loops.
     graph = random_graph(12, n=24, extra=40)

@@ -448,9 +448,9 @@ def test_refresh_hot_pairs_precomputes_unseen_answers(tmp_path):
 
 
 def test_refresh_hot_pairs_with_shm_plane(tmp_path):
-    """``refresh_hot_pairs`` under ``result_plane="shm"`` must not touch
-    (or leak) any ring slot: refresh batches are tiny and run over the
-    pipe plane, while real runs before and after keep the shm plane."""
+    """``refresh_hot_pairs`` must not touch (or leak) any ring slot:
+    refresh batches are tiny and run over the pipe, while real runs
+    before and after keep the shm plane."""
     graph = random_graph(44, n=30, extra=60)
     frozen = DISO(graph, tau=3).freeze()
     path = save_snapshot(frozen, tmp_path / "o.dsosnap")
@@ -458,7 +458,7 @@ def test_refresh_hot_pairs_with_shm_plane(tmp_path):
     target_query = (nodes[3], nodes[11], None)
     expected = frozen.query(nodes[3], nodes[11])
     with make_service(
-        path, workers=1, cache_size=64, hot_pairs=2, result_plane="shm"
+        path, workers=1, cache_size=64, hot_pairs=2
     ) as service:
         service.start()
         warmup = service.run([(nodes[0], nodes[1], None)])

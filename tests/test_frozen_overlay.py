@@ -1,12 +1,13 @@
 """Frozen stitch plane tests: CSR compile, closure, kernels, serving.
 
-The acceptance bar (ISSUE 9): the frozen plane must be bitwise-equal
-to the PR 8 scalar stitcher — poison queries and error strings
-included — at K in {2, 4}, under failure sets biased toward
-border-incident and cross-shard edges.  Bitwise equality is meaningful
-because every graph here has integer (or unit) weights, making float
-addition exact regardless of association order (the closure fast
-path's one re-association included).
+The frozen plane must be bitwise-equal to the scalar stitcher
+(:func:`~repro.sharding.oracle.stitch_over_borders`, which
+:class:`~repro.sharding.oracle.ShardedOracle` stitches with) — poison
+queries and error strings included — at K in {2, 4}, under failure
+sets biased toward border-incident and cross-shard edges.  Bitwise
+equality is meaningful because every graph here has integer (or unit)
+weights, making float addition exact regardless of association order
+(the closure fast path's one re-association included).
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
+from repro.exceptions import QueryError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_network
 from repro.oracle.diso import DISO
@@ -369,37 +370,44 @@ class TestStitchBatch:
 
 
 # ----------------------------------------------------------------------
-# Serving-level parity: frozen plane vs scalar plane
+# Serving-level parity: frozen serving plane vs the scalar walk
 # ----------------------------------------------------------------------
+def _scalar_reference(sharded, batch):
+    """``ShardedOracle`` (scalar stitch) answers and error strings in
+    the service's report form: NaN plus ``"Type: message"`` on error."""
+    answers, errors = [], []
+    for source, target, failed in batch:
+        try:
+            answers.append(sharded.query(source, target, failed))
+            errors.append(None)
+        except QueryError as exc:
+            answers.append(float("nan"))
+            errors.append(f"{type(exc).__name__}: {exc}")
+    return answers, errors
+
+
 class TestServingParity:
     @pytest.mark.parametrize(
         "graph_name,parts", [("grid6", 2), ("rand40", 4)]
     )
     def test_planes_agree_bitwise(self, graph_name, parts, tmp_path):
-        """Same batch through both planes: answers and error strings
-        byte-identical, poison queries included."""
+        """Same batch through the service's frozen plane and the
+        scalar walk: answers and error strings byte-identical, poison
+        queries included."""
         graph = GRAPHS[graph_name]()
-        build, _ = _build(graph, parts)
+        build, sharded = _build(graph, parts)
         target = save_sharded_snapshot(build, tmp_path / "snap")
         batch = list(_query_mix(graph, build.plan, seed=31, count=30))
         batch.append((999, 0, None))  # poison source
         batch.append((0, 999, None))  # poison target
-        with ShardedQueryService(
-            target, workers_per_shard=1, stitch_plane="scalar"
-        ) as service:
-            scalar = service.run(batch)
-        with ShardedQueryService(
-            target, workers_per_shard=1, stitch_plane="frozen"
-        ) as service:
+        want_answers, want_errors = _scalar_reference(sharded, batch)
+        with ShardedQueryService(target, workers_per_shard=1) as service:
             frozen = service.run(batch)
-        assert scalar.stitch_plane == "scalar"
-        assert frozen.stitch_plane == "frozen"
-        assert frozen.errors == scalar.errors
-        for got, want in zip(frozen.answers, scalar.answers):
+        assert frozen.errors == want_errors
+        for got, want in zip(frozen.answers, want_answers):
             _assert_same(got, want)
         # Failure-free cross-shard queries rode the closure fast path.
         assert frozen.closure_hits > 0
-        assert scalar.closure_hits == 0
         assert frozen.stitch_seconds > 0.0
 
     def test_frozen_matches_reference_oracle(self, tmp_path):
@@ -408,9 +416,7 @@ class TestServingParity:
         target = save_sharded_snapshot(build, tmp_path / "snap")
         reference = DISO(graph, tau=3).freeze()
         batch = list(_query_mix(graph, build.plan, seed=13, count=25))
-        with ShardedQueryService(
-            target, workers_per_shard=1, stitch_plane="frozen"
-        ) as service:
+        with ShardedQueryService(target, workers_per_shard=1) as service:
             report = service.run(batch)
         for position, (source, target_node, failed) in enumerate(batch):
             assert report.errors[position] is None
@@ -418,20 +424,6 @@ class TestServingParity:
                 report.answers[position],
                 reference.query(source, target_node, failed),
             )
-
-    def test_invalid_plane_rejected(self, tmp_path):
-        build, _ = _build(grid_network(3, 3), 2)
-        target = save_sharded_snapshot(build, tmp_path / "snap")
-        with pytest.raises(ValueError):
-            ShardedQueryService(target, stitch_plane="vectorized")
-
-    def test_env_knob_selects_plane(self, tmp_path, monkeypatch):
-        build, _ = _build(grid_network(3, 3), 2)
-        target = save_sharded_snapshot(build, tmp_path / "snap")
-        monkeypatch.setenv("DSO_STITCH_PLANE", "scalar")
-        service = ShardedQueryService(target)
-        assert service.stitch_plane == "scalar"
-        service.stop()
 
 
 # ----------------------------------------------------------------------
@@ -469,9 +461,7 @@ class TestRepairMemo:
         build, _ = _build(graph, 2)
         target = save_sharded_snapshot(build, tmp_path / "snap")
         batch = self._mixed_failure_batch(graph, build)
-        with ShardedQueryService(
-            target, workers_per_shard=1, stitch_plane="frozen"
-        ) as service:
+        with ShardedQueryService(target, workers_per_shard=1) as service:
             first = service.run(batch)
             assert len(service._repair_memo) > 0
             second = service.run(batch)
@@ -491,20 +481,15 @@ class TestRepairMemo:
 
     def test_memoized_batches_match_scalar_plane(self, tmp_path):
         graph = grid_network(6, 6)
-        build, _ = _build(graph, 2)
+        build, sharded = _build(graph, 2)
         target = save_sharded_snapshot(build, tmp_path / "snap")
         batch = self._mixed_failure_batch(graph, build)
-        with ShardedQueryService(
-            target, workers_per_shard=1, stitch_plane="scalar"
-        ) as service:
-            want = service.run(batch)
-        with ShardedQueryService(
-            target, workers_per_shard=1, stitch_plane="frozen"
-        ) as service:
+        want_answers, want_errors = _scalar_reference(sharded, batch)
+        with ShardedQueryService(target, workers_per_shard=1) as service:
             service.run(batch)  # warm the memo
             got = service.run(batch)  # answered via memoized rows
-        assert got.errors == want.errors
-        for got_answer, want_answer in zip(got.answers, want.answers):
+        assert got.errors == want_errors
+        for got_answer, want_answer in zip(got.answers, want_answers):
             _assert_same(got_answer, want_answer)
 
 
@@ -524,9 +509,7 @@ class TestEdgeCases:
         finally:
             loaded.close()
         reference = DISO(graph, tau=3).freeze()
-        with ShardedQueryService(
-            target, workers_per_shard=1, stitch_plane="frozen"
-        ) as service:
+        with ShardedQueryService(target, workers_per_shard=1) as service:
             report = service.run([(0, 15, None), (15, 0, None)])
         assert report.closure_hits == 0  # nothing to stitch
         _assert_same(report.answers[0], reference.query(0, 15))
@@ -541,13 +524,10 @@ class TestEdgeCases:
         build = build_sharded(graph, 2, method="metis", seed=0)
         target = save_sharded_snapshot(build, tmp_path / "snap")
         batch = [(0, 12, None), (12, 0, None), (0, 3, None)]
-        answers = {}
-        for plane in ("scalar", "frozen"):
-            with ShardedQueryService(
-                target, workers_per_shard=1, stitch_plane=plane
-            ) as service:
-                answers[plane] = service.run(batch).answers
-        for got, want in zip(answers["frozen"], answers["scalar"]):
-            _assert_same(got, want)
-        assert math.isinf(answers["frozen"][0])
-        assert answers["frozen"][2] == 1.0
+        want, _ = _scalar_reference(ShardedOracle.from_build(build), batch)
+        with ShardedQueryService(target, workers_per_shard=1) as service:
+            answers = service.run(batch).answers
+        for got, expected in zip(answers, want):
+            _assert_same(got, expected)
+        assert math.isinf(answers[0])
+        assert answers[2] == 1.0

@@ -4,10 +4,9 @@ Workers map the snapshot independently, so parity across the pipe —
 same answers, same order, for Query objects and plain tuples — is the
 core contract.  On top of that: chunk sharding must restore input
 order, a crashed worker must be replaced without losing answers, a
-poison query must come back as a *per-query* error (zero restarts),
-and the ``processes=`` backend of :class:`QueryEngine` must behave
-like its thread backend.  Pools stay at 2 workers and graphs small:
-this suite runs on one core in CI.
+and a poison query must come back as a *per-query* error (zero
+restarts).  Pools stay at 2 workers and graphs small: this suite runs
+on one core in CI.
 
 Set ``DSO_SERVING_START_METHOD=spawn`` (or ``fork``) to pin the
 multiprocessing start method — CI runs this file under both.
@@ -313,58 +312,6 @@ class TestShardedPoolLifecycle:
         assert multiprocessing.active_children() == []
         assert not any(pool._started for pool in service._services)
         assert service._reach is None
-
-
-class TestQueryEngineProcessBackend:
-    def test_parity_with_thread_backend(self, served):
-        _, frozen, _, batch, expected = served
-        with QueryEngine(frozen, processes=2) as engine:
-            report = engine.run(batch)
-        assert report.answers == expected
-        assert report.threads == 2
-        assert len(report.latencies) == len(batch)
-
-    def test_requires_frozen_oracle(self):
-        dict_oracle = DISO(random_graph(12), tau=3)
-        with pytest.raises(ValueError, match="frozen"):
-            QueryEngine(dict_oracle, processes=2)
-
-    def test_close_is_idempotent(self, served):
-        _, frozen, _, batch, _ = served
-        engine = QueryEngine(frozen, processes=1)
-        engine.run(batch[:4])
-        engine.close()
-        engine.close()
-
-    def test_cache_knobs_require_process_backend(self, served):
-        _, frozen, _, _, _ = served
-        with pytest.raises(ValueError, match="process backend"):
-            QueryEngine(frozen, threads=2, cache_size=64)
-        with pytest.raises(ValueError, match="process backend"):
-            QueryEngine(frozen, threads=2, deadline_ms=5.0)
-
-    def test_cached_engine_parity_and_hit_reporting(self, served):
-        _, frozen, _, batch, expected = served
-        with QueryEngine(frozen, processes=1, cache_size=256) as engine:
-            cold = engine.run(batch)
-            warm = engine.run(batch)
-        assert cold.answers == expected
-        assert warm.answers == expected
-        assert warm.cache_hits == len(batch)
-        assert warm.cache_hit_ratio == pytest.approx(1.0)
-        assert warm.shed_rate == pytest.approx(0.0)
-
-    def test_process_backend_surfaces_per_query_errors(self, served):
-        from repro.workload.queries import Query
-
-        _, frozen, _, batch, expected = served
-        poisoned = list(batch[:6]) + [Query(10**9, 0, None)]
-        with QueryEngine(frozen, processes=1) as engine:
-            report = engine.run(poisoned)
-        assert report.error_count == 1
-        assert report.errors[-1] is not None
-        assert math.isnan(report.answers[-1])
-        assert report.answers[:6] == expected[:6]
 
 
 class TestThroughputPercentiles:

@@ -28,7 +28,6 @@ from repro.sharding import (
     load_shard_reach,
     save_sharded_snapshot,
 )
-from repro.sharding.frozen_overlay import HAVE_NUMPY
 from repro.sharding.oracle import AFFECTED_SLACK, INFINITY
 from test_sharding import _assert_same, _query_mix, _reference
 from util import exact_random_graph, random_graph
@@ -225,7 +224,7 @@ def grid_snapshot(tmp_path_factory):
 class TestDispatcherRepair:
     def test_serving_parity_on_both_planes(self, grid_snapshot):
         """Affected-only serving stays bitwise-equal to the unsharded
-        oracle (the plane comes from ``DSO_STITCH_PLANE`` in CI)."""
+        oracle."""
         graph, build, target = grid_snapshot
         reference = _reference(graph)
         batch = list(_query_mix(graph, build.plan, seed=5, count=40))
@@ -321,7 +320,6 @@ class TestDispatcherRepair:
             report.answers[0], reference.query(source, target_node, {edge})
         )
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen plane needs numpy")
     def test_non_edge_failures_plan_like_failure_free_twin(
         self, grid_snapshot
     ):
@@ -334,9 +332,7 @@ class TestDispatcherRepair:
             if not graph.has_edge(a, b)
         )[:3]
         assert non_edges
-        with ShardedQueryService(
-            target, workers_per_shard=1, stitch_plane="frozen"
-        ) as service:
+        with ShardedQueryService(target, workers_per_shard=1) as service:
             twin = service.run([(source, target_node, None)])
             report = service.run([(source, target_node, non_edges)])
         assert report.shard_loads == twin.shard_loads

@@ -1,17 +1,17 @@
 """Lifecycle and integrity of the shared-memory result plane.
 
-The ring (DESIGN.md §11) carries every answer of an shm-plane run, so
-its stamp protocol must reject anything half-written or stale, both
-planes must produce byte-identical reports, and — the non-negotiable —
-no ``/dev/shm`` segment may outlive a run, whether it ended cleanly,
-with an injected crash, or with a hang-and-replace.  The leak scans key
+The ring (DESIGN.md §11) carries every answer of a run, so its stamp
+protocol must reject anything half-written or stale, the pipe fallback
+(no ring could be created) must produce the same answers and errors,
+and — the non-negotiable — no ``/dev/shm`` segment may outlive a run,
+whether it ended cleanly, with an injected crash, or with a
+hang-and-replace.  The leak scans key
 on :data:`repro.serving.ring.NAME_PREFIX`; every segment this module
 ever creates is accounted for against a baseline snapshot, so the
 tests stay correct even when run in parallel with themselves.
 
 Set ``DSO_SERVING_START_METHOD=spawn`` (or ``fork``) to pin the
-multiprocessing start method — CI runs this file under both, crossed
-with both ``DSO_RESULT_PLANE`` values.
+multiprocessing start method — CI runs this file under both.
 """
 
 from __future__ import annotations
@@ -177,18 +177,32 @@ class TestRingProtocol:
             ring.destroy()
 
 
+def _no_ring(*args, **kwargs):
+    raise OSError("no usable shared memory")
+
+
 class TestServicePlanes:
-    def test_both_planes_identical_reports(self, served):
+    """Where no ring can be created, the run falls back to the pipe."""
+
+    def test_both_planes_identical_reports(self, served, monkeypatch, caplog):
         path, batch, expected = served
         # A poison query mid-batch: the NaN sentinel and the error
         # message must survive both result channels identically.
         poisoned = list(batch[:10]) + [(0, 10**9, None)] + list(batch[10:])
-        reports = {}
-        for plane in ("shm", "pipe"):
-            with make_service(path, workers=2, result_plane=plane) as svc:
-                reports[plane] = svc.run(poisoned)
-        shm, pipe = reports["shm"], reports["pipe"]
+        with make_service(path, workers=2) as svc:
+            shm = svc.run(poisoned)
+        monkeypatch.setattr(ResultRing, "create", _no_ring)
+        with caplog.at_level("WARNING", logger="repro.serving.service"):
+            with make_service(path, workers=2) as svc:
+                pipe = svc.run(poisoned)
         assert shm.result_plane == "shm" and pipe.result_plane == "pipe"
+        warnings = [
+            record for record in caplog.records
+            if record.name == "repro.serving.service"
+        ]
+        assert len(warnings) == 1
+        assert warnings[0].levelname == "WARNING"
+        assert "no usable shared memory" in warnings[0].getMessage()
         assert len(shm.answers) == len(poisoned)
         for a, b in zip(shm.answers, pipe.answers):
             assert a == b or (math.isnan(a) and math.isnan(b))
@@ -196,31 +210,23 @@ class TestServicePlanes:
         assert math.isnan(shm.answers[10])
         assert shm.errors == pipe.errors
         assert shm.error_indices == [10]
-        # The whole point of the shm plane: answers never cross the pipe.
+        # The whole point of the ring: answers never cross the pipe.
         assert shm.pipe_bytes < pipe.pipe_bytes
 
-    def test_env_knob_selects_plane(self, served, monkeypatch):
+    def test_fallback_replaces_crashed_worker(self, served, monkeypatch):
         path, batch, expected = served
-        monkeypatch.setenv("DSO_RESULT_PLANE", "pipe")
-        with make_service(path, workers=1) as svc:
-            assert svc.result_plane == "pipe"
+        monkeypatch.setattr(ResultRing, "create", _no_ring)
+        plan = FaultPlan.single("crash", at=2, worker=0)
+        with make_service(
+            path, workers=2, fault_plan=plan, chunk_size=4
+        ) as svc:
             report = svc.run(batch)
+            # Ring names carry the creating dispatcher's pid.
+            own = f"{NAME_PREFIX}{os.getpid()}-"
+            assert not any(name.startswith(own) for name in ring_segments())
         assert report.result_plane == "pipe"
         assert report.answers == expected
-        monkeypatch.setenv("DSO_RESULT_PLANE", "shm")
-        with make_service(path, workers=1) as svc:
-            assert svc.result_plane == "shm"
-            assert svc.run(batch).result_plane == "shm"
-
-    def test_explicit_plane_overrides_env(self, served, monkeypatch):
-        path, _, _ = served
-        monkeypatch.setenv("DSO_RESULT_PLANE", "pipe")
-        assert QueryService(path, result_plane="shm").result_plane == "shm"
-
-    def test_rejects_unknown_plane(self, served):
-        path, _, _ = served
-        with pytest.raises(ValueError):
-            QueryService(path, result_plane="carrier-pigeon")
+        assert report.restarts == 1
 
 
 class TestNoLeaks:

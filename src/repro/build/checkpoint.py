@@ -25,8 +25,6 @@ silently merged into a wrong index.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from pathlib import Path
 
 from repro.exceptions import FormatError
@@ -38,27 +36,12 @@ from repro.build.shards import (
     decode_shard,
     kind_name,
 )
+from repro.oracle.snapshot import write_atomic
 
 CONTAINER_NAME = "graph.dsobuild"
 SHARD_DIR = "shards"
 
 Unit = tuple[int, int]  # (kind, label)
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:  # dsolint: disable=DSO403 -- tmp cleanup is best-effort; the original failure re-raises below
-            pass
-        raise
 
 
 class BuildSpool:
@@ -94,14 +77,14 @@ class BuildSpool:
                     f"spool directory (or delete this one) to rebuild"
                 )
             return True
-        _atomic_write(self.container_path, container_bytes)
+        write_atomic(self.container_path, container_bytes)
         return False
 
     def shard_path(self, kind: int, label: int) -> Path:
         return self.shard_dir / f"{kind_name(kind)}-{label}.shard"
 
     def write_shard(self, kind: int, label: int, data: bytes) -> None:
-        _atomic_write(self.shard_path(kind, label), data)
+        write_atomic(self.shard_path(kind, label), data)
 
     def load_shards(
         self,

@@ -17,12 +17,16 @@ small integer set.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
 from repro.graph.digraph import DiGraph
 
 INFINITY = float("inf")
+
+#: The :class:`FrozenGraph` slots built on first access.
+_LAZY_VIEWS = frozenset({"_edge_index", "_adjacency", "_radjacency"})
 
 
 class SearchArena:
@@ -100,6 +104,12 @@ class SearchArena:
 class FrozenGraph:
     """An immutable CSR snapshot of a directed weighted graph.
 
+    The flat arrays (``_offsets``, ``_heads``, ``_weights``) are the
+    storage of record.  The Python views the search loops iterate
+    (``_adjacency``, ``_radjacency``, ``_edge_index``) are derived from
+    them on first access, so a snapshot that is only compiled and saved
+    never pays for them.
+
     Attributes
     ----------
     node_ids:
@@ -131,32 +141,97 @@ class FrozenGraph:
         self._offsets = offsets
         self._heads = heads
         self._weights = weights
-        self._edge_index: dict[tuple[int, int], int] = {}
+
+    def __getattr__(self, name: str):
+        # Only reached for an unset slot: build the lazy views once.
+        if name in _LAZY_VIEWS:
+            self._build_views()
+            return object.__getattribute__(self, name)
+        raise AttributeError(name)
+
+    def _build_views(self) -> None:
+        offsets = self._offsets
+        heads = self._heads
+        weights = self._weights
+        edge_index: dict[tuple[int, int], int] = {}
         # Pre-sliced (head, weight, edge_id) tuples per node: CPython
         # iterates a materialised tuple list markedly faster than it
         # indexes into arrays, so the search loops run over these while
         # the flat arrays remain the storage of record.
-        self._adjacency: list[tuple[tuple[int, float, int], ...]] = []
+        adjacency: list[tuple[tuple[int, float, int], ...]] = []
         # Reverse adjacency mirrors the forward layout: per head, the
         # (tail, weight, edge_id) triples of all in-edges.  Edge ids are
         # the *forward* positions, so failure sets translate once and
         # work in both directions (backward bounded searches check the
         # same integer ids).
         reverse_rows: list[list[tuple[int, float, int]]] = [
-            [] for _ in node_ids
+            [] for _ in self.node_ids
         ]
-        for tail in range(len(node_ids)):
+        for tail in range(len(self.node_ids)):
             row = []
             for pos in range(offsets[tail], offsets[tail + 1]):
                 head = heads[pos]
                 weight = weights[pos]
-                self._edge_index[(tail, head)] = pos
+                edge_index[(tail, head)] = pos
                 row.append((head, weight, pos))
                 reverse_rows[head].append((tail, weight, pos))
-            self._adjacency.append(tuple(row))
-        self._radjacency: list[tuple[tuple[int, float, int], ...]] = [
-            tuple(row) for row in reverse_rows
-        ]
+            adjacency.append(tuple(row))
+        self._edge_index = edge_index
+        self._adjacency = adjacency
+        self._radjacency = [tuple(row) for row in reverse_rows]
+
+    def views_built(self) -> bool:
+        """Whether the lazy adjacency views exist yet."""
+        try:
+            object.__getattribute__(self, "_adjacency")
+        except AttributeError:
+            return False
+        return True
+
+    def set_weights(self, changes: dict[int, float]) -> None:
+        """Overwrite the weights of edges ``{edge_id: weight}`` in place.
+
+        The weight lane becomes a private copy on the first call (a
+        snapshot-loaded graph maps it read-only), and the adjacency rows
+        of the changed edges are rebuilt if the views exist.  The shape
+        (nodes, edges, edge ids) never changes.
+        """
+        if not changes:
+            return
+        weights = self._weights
+        if not isinstance(weights, array):
+            weights = self._weights = array("d", weights)
+        for edge_id, weight in changes.items():
+            weights[edge_id] = weight
+        if not self.views_built():
+            return
+        ends = [self.endpoints(edge_id) for edge_id in changes]
+        adjacency = self._adjacency
+        radjacency = self._radjacency
+        for tail in {tail for tail, _ in ends}:
+            adjacency[tail] = tuple(
+                (head, weights[pos], pos) for head, _, pos in adjacency[tail]
+            )
+        for head in {head for _, head in ends}:
+            radjacency[head] = tuple(
+                (tail, weights[pos], pos) for tail, _, pos in radjacency[head]
+            )
+
+    def endpoints(self, edge_id: int) -> tuple[int, int]:
+        """``(tail, head)`` dense indices of edge ``edge_id``."""
+        return bisect_right(self._offsets, edge_id) - 1, self._heads[edge_id]
+
+    def edge_position(self, tail: int, head: int) -> int:
+        """Edge id of ``(tail, head)`` by dense index; ``-1`` if absent.
+
+        Rows are sorted by head, so this bisects the tail's row instead
+        of building the edge-index dict.
+        """
+        start, end = self._offsets[tail], self._offsets[tail + 1]
+        pos = bisect_left(self._heads, head, start, end)
+        if pos < end and self._heads[pos] == head:
+            return pos
+        return -1
 
     @classmethod
     def from_digraph(cls, graph: DiGraph) -> "FrozenGraph":

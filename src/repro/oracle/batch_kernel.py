@@ -86,7 +86,19 @@ class DisoBatchKernel:
     def __init__(self, frozen, index) -> None:
         self.frozen = frozen
         self.index = index
+        index.build_views()
         self.num_transit = index.num_transit()
+        self._build_overlay()
+        # Per-rank repair structures, built on first repair of a rank
+        # (see _repair_rows).
+        self._repair_rows_cache: dict[int, tuple[list, list]] = {}
+        # Per-rank "does the subtree at preorder position p contain a
+        # transit stop?" flags, for the O(1) no-op repair precheck.
+        self._subtree_transit_cache: dict[int, list[bool]] = {}
+
+    def _build_overlay(self) -> None:
+        """The overlay arrays, from the index's current rank rows."""
+        index = self.index
         # Global overlay CSR over rank space: row r's (head_rank,
         # weight) pairs, weight-sorted exactly as overlay_rank_rows.
         heads: list[int] = []
@@ -108,12 +120,29 @@ class DisoBatchKernel:
         self.csr_degrees = (offsets64[1:] - offsets64[:-1]).astype(np.int32)
         self.min_weight = np.array(index.overlay_min_weight, dtype=np.float64)
         self._head_position = head_position
-        # Per-rank repair structures, built on first repair of a rank
-        # (see _repair_rows).
-        self._repair_rows_cache: dict[int, tuple[list, list]] = {}
-        # Per-rank "does the subtree at preorder position p contain a
-        # transit stop?" flags, for the O(1) no-op repair precheck.
-        self._subtree_transit_cache: dict[int, list[bool]] = {}
+
+    def refresh(self, ranks, edge_ids) -> None:
+        """Follow an in-place patch of the index (see ``apply_delta``).
+
+        ``ranks`` got new trees and overlay rows, ``edge_ids`` new
+        weights.  The overlay arrays are rebuilt, and every cached
+        structure that baked in old values is dropped: both caches of a
+        changed rank, and the repair rows of every rank whose tree holds
+        both endpoints of a changed edge — they hold ``stored[pred] +
+        weight`` for it even when the tree itself did not change.
+        """
+        self._build_overlay()
+        for rank in ranks:
+            self._repair_rows_cache.pop(rank, None)
+            self._subtree_transit_cache.pop(rank, None)
+        if not edge_ids:
+            return
+        ends = [self.frozen.endpoints(edge_id) for edge_id in edge_ids]
+        trees = self.index.trees
+        for rank in list(self._repair_rows_cache):
+            pos_of = trees[rank].pos_of
+            if any(tail in pos_of and head in pos_of for tail, head in ends):
+                del self._repair_rows_cache[rank]
 
     # ------------------------------------------------------------------
     # Position-space repair engine

@@ -140,10 +140,26 @@ class DISO(DistanceSensitivityOracle):
         stops changing.  The dict oracle remains usable (and is the one
         :mod:`repro.oracle.maintenance` can update; re-freeze after
         maintenance).
-        """
-        from repro.oracle.frozen import FrozenDISO
 
-        return FrozenDISO(self)
+        A re-freeze is incremental (:class:`repro.oracle.frozen.
+        FreezeMemo`): it snapshots the graph afresh (so a direct
+        ``graph.set_weight`` is picked up too) and compiles only the
+        trees replaced since the last freeze; an insert or delete that
+        changes the graph's shape, or a new transit set, compiles
+        everything.  Either way the result equals a full
+        ``FrozenDISO(oracle)`` bitwise.  Between freezes the oracle
+        keeps only compact state: the CSR arrays and the compiled
+        trees' lanes, never the maps a query builds on the engine.
+        The query views of the returned engine (adjacency rows,
+        overlay-derived rows, inverted index) are built on its first
+        query, so an engine that is only saved never builds them.
+        """
+        from repro.oracle.frozen import FreezeMemo
+
+        memo = self.__dict__.get("_freeze_memo")
+        if memo is None:
+            memo = self._freeze_memo = FreezeMemo()
+        return memo.freeze(self)
 
     # ------------------------------------------------------------------
     # Failure handling hooks (overridden by the DISO- ablation)

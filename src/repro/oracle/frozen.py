@@ -41,7 +41,7 @@ from repro.oracle.base import (
     QueryStats,
     normalize_failures,
 )
-from repro.overlay.frozen_index import FrozenIndex
+from repro.overlay.frozen_index import FrozenIndex, FrozenTree
 from repro.pathing.csr_bounded import csr_bounded_dijkstra
 
 
@@ -133,6 +133,25 @@ class FrozenDISO(DistanceSensitivityOracle):
         oracle.preprocess_seconds = preprocess_seconds
         return oracle
 
+    def apply_delta(
+        self,
+        weights: dict[int, float],
+        ranks: dict[int, tuple[FrozenTree, tuple]],
+    ) -> None:
+        """Patch this engine in place into a same-shape successor index.
+
+        ``weights`` maps edge ids to new weights and ``ranks`` maps
+        transit ranks to their new ``(tree, overlay_row)``; the node
+        set, the CSR shape and the transit set must be unchanged.  The
+        views and the batch kernel's caches follow the patch, so the
+        engine answers bitwise as one loaded fresh from the successor.
+        """
+        self.frozen.set_weights(weights)
+        self.index.replace_ranks(ranks)
+        kernel = getattr(self, "_kernel_cache", None)
+        if kernel is not None:
+            kernel.refresh(ranks, weights)
+
     def _has_node(self, node: int) -> bool:
         return node in self.frozen.index_of
 
@@ -155,6 +174,9 @@ class FrozenDISO(DistanceSensitivityOracle):
         """This thread's arena set (created on first use, then reused)."""
         arenas = getattr(self._local, "arenas", None)
         if arenas is None:
+            # The first query in any thread makes sure the index's
+            # derived views exist.
+            self.index.build_views()
             arenas = _ArenaSet(
                 self.frozen.number_of_nodes(), self.index.num_transit()
             )
@@ -295,13 +317,13 @@ class FrozenDISO(DistanceSensitivityOracle):
             stats.total_seconds = time.perf_counter() - started
             return QueryResult(distance=0.0, stats=stats)
 
+        arenas = self._arenas()
         frozen = self.frozen
         index = self.index
         failed_ids = frozen.edge_ids(fail_set) if fail_set else frozenset()
         affected = index.affected_ranks(failed_ids)
         stats.affected_count = len(affected)
 
-        arenas = self._arenas()
         source_index = frozen.index_of[source]
         target_index = frozen.index_of[target]
         access_start = time.perf_counter()
@@ -474,6 +496,71 @@ class FrozenDISO(DistanceSensitivityOracle):
         return self.index.index_entries()
 
 
+class FreezeMemo:
+    """What a DISO keeps between freezes, so a re-freeze compiles only
+    what changed.
+
+    It holds the CSR shape (labels, offsets, heads), the transit set,
+    and per root the :class:`ShortestPathTree` object last compiled and
+    a :class:`FrozenTree` over the lanes made from it.  :meth:`freeze`
+    snapshots the graph afresh and, when the node set, the CSR shape and
+    the transit set are the remembered ones, reuses the lanes of every
+    root whose tree object is still the one compiled last time
+    (maintenance swaps the object of every tree it rebuilds, so
+    identity is exact).  Engines get their own :class:`FrozenTree`
+    objects over shared lanes, so the maps a query builds on them never
+    reach the memo: it keeps compact lanes only, however the engines it
+    returned are used.  The overlay rows are compiled afresh each time.
+    The result equals a full ``FrozenDISO(oracle)`` bitwise.
+    """
+
+    __slots__ = ("node_ids", "offsets", "heads", "transit", "trees")
+
+    def __init__(self) -> None:
+        self.node_ids: list[int] | None = None
+        self.offsets = None
+        self.heads = None
+        self.transit: frozenset[int] | None = None
+        self.trees: dict = {}
+
+    def freeze(self, oracle) -> FrozenDISO:
+        """Compile ``oracle`` (a DISO), reusing what the last call made."""
+        started = time.perf_counter()
+        frozen = FrozenGraph.from_digraph(oracle.graph)
+        node_ids = frozen.node_ids
+        same_shape = (
+            node_ids == self.node_ids
+            and frozen._offsets == self.offsets
+            and frozen._heads == self.heads
+            and oracle.transit == self.transit
+        )
+        trees = {
+            root: oracle.trees.tree(root) for root in oracle.trees.roots()
+        }
+        index = FrozenIndex.compile(
+            frozen, oracle.distance_graph, trees, oracle.transit,
+            reuse=self.trees if same_shape else None,
+        )
+        self.node_ids = node_ids
+        self.offsets = frozen._offsets
+        self.heads = frozen._heads
+        self.transit = oracle.transit
+        self.trees = {
+            node_ids[tree.root]: (trees[node_ids[tree.root]], tree.share())
+            for tree in index.trees
+        }
+        seconds = time.perf_counter() - started
+        return FrozenDISO._restore(
+            frozen=frozen,
+            index=index,
+            fallback=None,
+            name=f"{oracle.name}-F",
+            exact=oracle.exact,
+            preprocess_seconds=oracle.preprocess_seconds + seconds,
+            freeze_seconds=seconds,
+        )
+
+
 class FrozenADISO(FrozenDISO):
     """ADISO's Algorithm 2 served from the compiled index.
 
@@ -526,13 +613,13 @@ class FrozenADISO(FrozenDISO):
             stats.total_seconds = time.perf_counter() - started
             return QueryResult(distance=0.0, stats=stats)
 
+        arenas = self._arenas()
         frozen = self.frozen
         index = self.index
         failed_ids = frozen.edge_ids(fail_set) if fail_set else frozenset()
         affected_ranks = index.affected_ranks(failed_ids)
         stats.affected_count = len(affected_ranks)
 
-        arenas = self._arenas()
         source_index = frozen.index_of[source]
         target_index = frozen.index_of[target]
         access_start = time.perf_counter()

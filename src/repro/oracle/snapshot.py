@@ -39,11 +39,15 @@ from __future__ import annotations
 
 import json
 import mmap
+import os
 import struct
 import sys
+import tempfile
 import zlib
 from array import array
 from pathlib import Path
+
+import numpy as np
 
 from repro.exceptions import FormatError
 from repro.graph.csr import FrozenGraph
@@ -170,21 +174,18 @@ def _add_index(writer: _SectionWriter, index: FrozenIndex) -> None:
     writer.add("overlay.weight", "d", weights)
 
     tree_offsets = [0]
-    order: list[int] = []
-    dist: list[float] = []
-    size: list[int] = []
+    order = array("q")
+    dist = array("d")
+    size = array("q")
     # Per preorder position, the dense edge id of the tree edge into the
     # node at that position (-1 at each root): enough to rebuild both
     # ``edge_pos`` and the inverted tree index on load.
-    edge_ids: list[int] = []
+    edge_ids = array("q")
     for tree in index.trees:
-        base = len(order)
         order.extend(tree.order)
         dist.extend(tree.dist)
         size.extend(tree.size)
-        edge_ids.extend([-1] * len(tree.order))
-        for edge_id, pos in tree.edge_pos.items():
-            edge_ids[base + pos] = edge_id
+        edge_ids.extend(tree.edge_ids)
         tree_offsets.append(len(order))
     writer.add("trees.offsets", "q", tree_offsets)
     writer.add("trees.order", "q", order)
@@ -199,6 +200,9 @@ def save_snapshot(oracle: FrozenDISO, target: str | Path) -> Path:
     Accepts :class:`FrozenDISO` and :class:`FrozenADISO` instances —
     i.e. anything ``freeze()`` returns, covering all four oracle
     families (DISO, ADISO, DISO-S with its fallback graph, ADISO-P).
+    The file is written whole and renamed over ``target``
+    (:func:`write_atomic`), so a worker still mapping an earlier file
+    at that path keeps reading it unchanged.
 
     Raises
     ------
@@ -248,8 +252,31 @@ def save_snapshot(oracle: FrozenDISO, target: str | Path) -> Path:
 
     blob = pack_container(writer, engine=engine, meta=meta)
     path = Path(target)
-    path.write_bytes(blob)
+    write_atomic(path, blob)
     return path
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` by a rename over it.
+
+    A process that maps the old file keeps the old inode, so re-saving a
+    path never changes bytes under a live mapping: an engine patched by
+    deltas (DESIGN.md §8.1) keeps reading its original file's unchanged
+    lanes for its whole life.
+    """
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:  # dsolint: disable=DSO403 -- tmp cleanup is best-effort; the original failure re-raises below
+            pass
+        raise
 
 
 def _read_header(
@@ -307,6 +334,8 @@ class SnapshotReader:
     ) -> None:
         self.path = Path(path)
         self._handle = open(self.path, "rb")
+        stat = os.fstat(self._handle.fileno())
+        self._stamp = (stat.st_size, stat.st_mtime_ns)
         try:
             self._mmap = mmap.mmap(
                 self._handle.fileno(), 0, access=mmap.ACCESS_READ
@@ -318,6 +347,7 @@ class SnapshotReader:
             self.header, self._payload_start = _read_header(
                 self._mmap, self.path, magic=magic, version=version
             )
+            self._prefix = self._mmap[: self._payload_start]
             payload_size = self.header.get("payload_size", 0)
             if self._payload_start + payload_size > len(self._mmap):
                 raise FormatError(f"{self.path}: truncated snapshot payload")
@@ -358,6 +388,19 @@ class SnapshotReader:
     def has_section(self, name: str) -> bool:
         return name in self._sections
 
+    def rewritten(self) -> bool:
+        """Whether the mapped file was written to since it was opened.
+
+        A file rewritten in place changes under the mapping (a file
+        replaced by a rename does not: the mapping keeps the old one).
+        The size and modification time are checked first, then the
+        header, whose CRC changes with the payload.
+        """
+        stat = os.fstat(self._handle.fileno())
+        if (stat.st_size, stat.st_mtime_ns) != self._stamp:
+            return True
+        return self._mmap[: self._payload_start] != self._prefix
+
     def close(self) -> None:
         """Release views and the mapping (restored oracles die with it)."""
         payload = getattr(self, "_payload", None)
@@ -387,64 +430,54 @@ def _load_csr(reader: SnapshotReader, prefix: str) -> FrozenGraph:
     )
 
 
+#: The sections holding the compiled index, per transit rank.
+_INDEX_SECTIONS = (
+    "overlay.offsets", "overlay.head_rank", "overlay.head_index",
+    "overlay.weight", "trees.offsets", "trees.order", "trees.dist",
+    "trees.size", "trees.edge_ids",
+)
+
+
+def _index_lanes(reader: SnapshotReader) -> dict:
+    return {name: reader.section(name) for name in _INDEX_SECTIONS}
+
+
 def _load_index(reader: SnapshotReader, frozen: FrozenGraph) -> FrozenIndex:
     transit_nodes = list(reader.section("index.transit_nodes"))
-    n = frozen.number_of_nodes()
-    rank_of = [-1] * n
-    transit_flags = bytearray(n)
-    for rank, node_index in enumerate(transit_nodes):
-        rank_of[node_index] = rank
-        transit_flags[node_index] = 1
-
-    overlay_offsets = reader.section("overlay.offsets")
-    head_rank = reader.section("overlay.head_rank")
-    head_index = reader.section("overlay.head_index")
-    weight = reader.section("overlay.weight")
-    overlay = [
-        tuple(
-            (head_rank[pos], head_index[pos], weight[pos])
-            for pos in range(overlay_offsets[rank], overlay_offsets[rank + 1])
-        )
-        for rank in range(len(transit_nodes))
-    ]
-
-    tree_offsets = reader.section("trees.offsets")
-    tree_order = reader.section("trees.order")
-    tree_dist = reader.section("trees.dist")
-    tree_size = reader.section("trees.size")
-    tree_edge_ids = reader.section("trees.edge_ids")
-    trees: list[FrozenTree] = []
-    inverted_members: dict[int, list[int]] = {}
-    for rank in range(len(transit_nodes)):
-        start, end = tree_offsets[rank], tree_offsets[rank + 1]
-        order = tree_order[start:end]
-        edge_pos: dict[int, int] = {}
-        for pos in range(1, end - start):
-            edge_id = tree_edge_ids[start + pos]
-            if edge_id >= 0:
-                edge_pos[edge_id] = pos
-                inverted_members.setdefault(edge_id, []).append(rank)
-        trees.append(
-            FrozenTree(
-                root=order[0],
-                order=order,
-                dist=tree_dist[start:end],
-                size=tree_size[start:end],
-                edge_pos=edge_pos,
-            )
-        )
-    inverted = {
-        edge_id: tuple(ranks) for edge_id, ranks in inverted_members.items()
-    }
+    lanes = _index_lanes(reader)
+    ranks = range(len(transit_nodes))
     return FrozenIndex(
         frozen=frozen,
         transit_nodes=transit_nodes,
-        rank_of=rank_of,
-        transit_flags=transit_flags,
-        overlay=overlay,
-        inverted=inverted,
-        trees=trees,
+        overlay=[_overlay_row(lanes, rank) for rank in ranks],
+        trees=[_tree(lanes, rank) for rank in ranks],
     )
+
+
+def _overlay_row(lanes: dict, rank: int) -> tuple:
+    """Rank ``rank``'s ``(head_rank, head_index, weight)`` overlay rows."""
+    offsets = lanes["overlay.offsets"]
+    head_rank = lanes["overlay.head_rank"]
+    head_index = lanes["overlay.head_index"]
+    weight = lanes["overlay.weight"]
+    return tuple(
+        (head_rank[pos], head_index[pos], weight[pos])
+        for pos in range(offsets[rank], offsets[rank + 1])
+    )
+
+
+def _tree(lanes: dict, rank: int, copy: bool = False) -> FrozenTree:
+    """Rank ``rank``'s tree over the mapped lanes, or over private copies."""
+    offsets = lanes["trees.offsets"]
+    start, end = offsets[rank], offsets[rank + 1]
+    parts = [
+        lanes[name][start:end]
+        for name in ("trees.order", "trees.dist", "trees.size",
+                     "trees.edge_ids")
+    ]
+    if copy:
+        parts = [array(part.format, part) for part in parts]
+    return FrozenTree(*parts)
 
 
 def load_snapshot(
@@ -455,12 +488,15 @@ def load_snapshot(
     The heavyweight storage (CSR buffers, preorder trees, overlay rows,
     landmark tables) stays backed by the mapping — shared read-only
     across every process that loads the same file.  What is rebuilt, in
-    one linear pass and never per query, is the Python-object views the
-    query paths iterate: the CSR's label index, edge-id dict and forward
-    and reverse adjacency tuples, the overlay rows, each tree's
-    ``edge_pos`` and ``pos_of`` dicts, and the inverted index.  No
-    :class:`DiGraph` is built: the engine validates endpoints and
-    expands node failures against its own CSR.
+    one linear pass and never per query, is the CSR's label index and
+    the overlay rows.  The other Python-object views the query paths
+    iterate — the CSR's edge-id dict and forward and reverse adjacency
+    tuples, the overlay-derived rows, the inverted index, each tree's
+    ``edge_pos`` and ``pos_of`` dicts — are built before the engine's
+    first query, or at once by ``index.build_views()`` (DESIGN.md
+    §7.2).  No :class:`DiGraph` is built:
+    the engine validates endpoints and expands node failures against
+    its own CSR.
 
     Parameters
     ----------
@@ -519,6 +555,116 @@ def load_snapshot(
     # mapping alive exactly as long as the oracle.
     oracle._snapshot_reader = reader
     return oracle
+
+
+#: Sections a delta cannot express: the node set, the CSR shape and
+#: the transit set.
+_SHAPE_SECTIONS = (
+    "graph.node_ids", "graph.offsets", "graph.heads", "index.transit_nodes",
+)
+
+
+def snapshot_delta(
+    old: SnapshotReader, new: SnapshotReader
+) -> tuple[list[int], list[int]] | str:
+    """How a live engine loaded from ``old`` can become one of ``new``.
+
+    Returns ``(edge_ids, ranks)``: the edge ids whose weight differs
+    bitwise and the transit ranks whose tree or overlay row differs —
+    what :func:`apply_snapshot_delta` patches.  Returns a string naming
+    the reason instead when only a full load can make the step: an
+    engine other than a plain :class:`FrozenDISO`, a fallback graph, or
+    a changed node set, CSR shape or transit set.
+    """
+    for reader in (old, new):
+        engine = reader.header.get("engine")
+        if engine != "FrozenDISO":
+            return f"{reader.path.name}: engine {engine} has no delta form"
+        if reader.has_section("fallback.node_ids"):
+            return f"{reader.path.name}: has a fallback graph"
+    for name in _SHAPE_SECTIONS:
+        if bytes(old.section(name)) != bytes(new.section(name)):
+            return f"{name} changed"
+    edge_ids = np.flatnonzero(
+        _bits(old, "graph.weights") != _bits(new, "graph.weights")
+    )
+    ranks = np.union1d(
+        _changed_ranks(old, new, "trees.offsets", (
+            "trees.order", "trees.dist", "trees.size", "trees.edge_ids",
+        )),
+        _changed_ranks(old, new, "overlay.offsets", (
+            "overlay.head_rank", "overlay.head_index", "overlay.weight",
+        )),
+    )
+    return edge_ids.tolist(), ranks.tolist()
+
+
+def _bits(reader: SnapshotReader, name: str):
+    """A section as int64 words, so float lanes compare bitwise."""
+    return np.frombuffer(reader.section(name), dtype=np.int64)
+
+
+def _changed_ranks(old, new, offsets_name: str, lane_names) -> "np.ndarray":
+    """Ranks whose slice of any of ``lane_names`` differs."""
+    old_offsets = _bits(old, offsets_name)
+    new_offsets = _bits(new, offsets_name)
+    lengths = np.diff(old_offsets)
+    changed = lengths != np.diff(new_offsets)
+    # Compare the equal-length slices entry by entry: flatten them into
+    # one position list per file, tagged with the owning rank.
+    same = np.flatnonzero(~changed)
+    lengths = lengths[same]
+    within = np.arange(int(lengths.sum())) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
+    old_pos = np.repeat(old_offsets[same], lengths) + within
+    new_pos = np.repeat(new_offsets[same], lengths) + within
+    differs = np.zeros(old_pos.size, dtype=bool)
+    for name in lane_names:
+        differs |= _bits(old, name)[old_pos] != _bits(new, name)[new_pos]
+    changed[np.repeat(same, lengths)[differs]] = True
+    return np.flatnonzero(changed)
+
+
+def apply_snapshot_delta(
+    oracle: FrozenDISO,
+    source: str | Path,
+    edge_ids: list[int],
+    ranks: list[int],
+) -> None:
+    """Patch ``oracle`` in place into the engine ``source`` holds.
+
+    ``edge_ids`` and ``ranks`` come from :func:`snapshot_delta` between
+    the file ``oracle`` answers as and ``source``.  Only those slices
+    are read, as private copies, and the mapping of ``source`` is
+    closed before returning: the engine keeps no reference to it.
+
+    Raises
+    ------
+    FormatError
+        If ``source`` is unreadable or its shape differs from the
+        engine's.
+    """
+    reader = SnapshotReader(source)
+    try:
+        meta = reader.meta
+        if (
+            meta.get("num_nodes") != oracle.frozen.number_of_nodes()
+            or meta.get("num_edges") != oracle.frozen.number_of_edges()
+            or meta.get("num_transit") != oracle.index.num_transit()
+        ):
+            raise FormatError(f"{source}: shape differs from the engine's")
+        weights = reader.section("graph.weights")
+        changes = {edge_id: weights[edge_id] for edge_id in edge_ids}
+        lanes = _index_lanes(reader)
+        updates = {
+            rank: (_tree(lanes, rank, copy=True), _overlay_row(lanes, rank))
+            for rank in ranks
+        }
+        del weights, lanes
+    finally:
+        reader.close()
+    oracle.apply_delta(changes, updates)
 
 
 def snapshot_info(source: str | Path) -> dict:

@@ -33,7 +33,8 @@ surviving-edge filter when the compiled overlay is the sparsified
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, insort
 from collections.abc import Mapping
 from heapq import heappop, heappush
 
@@ -42,8 +43,30 @@ from repro.overlay.distance_graph import DistanceGraph
 from repro.pathing.spt import ShortestPathTree
 
 
+def _rank_row(rows) -> tuple[tuple[int, float], ...]:
+    # Rank rows are sorted by ascending weight so the overlay search
+    # can stop scanning a row the moment one relaxation reaches the
+    # incumbent bound (every later edge is at least as heavy).
+    return tuple(
+        sorted(
+            ((head_rank, weight) for head_rank, _, weight in rows),
+            key=lambda row: row[1],
+        )
+    )
+
+
+def _node_row(rows) -> tuple[tuple[int, float], ...]:
+    return tuple((head_index, weight) for _, head_index, weight in rows)
+
+
 class FrozenTree:
-    """One bounded shortest path tree flattened to preorder arrays.
+    """One bounded shortest path tree flattened to preorder lanes.
+
+    The four lanes are flat typed sequences (``array`` after a compile,
+    ``memoryview`` slices of the mapping after a snapshot load).  The
+    two dicts the repair paths probe are derived from them by
+    :meth:`build_maps`, which :meth:`FrozenIndex.build_views` calls
+    before the first query.
 
     Attributes
     ----------
@@ -56,43 +79,66 @@ class FrozenTree:
     size:
         Subtree size per preorder position; the subtree of the node at
         ``pos`` occupies positions ``[pos, pos + size[pos])``.
+    edge_ids:
+        Per preorder position, the input graph's dense edge id of the
+        tree edge into that node (``-1`` at the root).
     edge_pos:
-        ``{edge_id: child_position}`` for every tree edge, keyed by the
-        input graph's dense edge id.
+        ``{edge_id: child_position}`` for every tree edge (``None``
+        until built).
     pos_of:
-        ``{node_index: position}`` — the inverse of ``order``.
+        ``{node_index: position}`` — the inverse of ``order`` (``None``
+        until built).
     transit_pos / transit_ranks:
         Parallel tuples: the preorder positions of the tree's transit
         leaves (ascending) and their transit ranks (filled by
-        :meth:`FrozenIndex.compile`, which knows the rank mapping).
-        Sorted positions make "which overlay heads sit inside this
-        invalidated subtree slice" a bisect instead of a full scan.
+        :class:`FrozenIndex`, which knows the rank mapping; ``None``
+        until then).  Sorted positions make "which overlay heads sit
+        inside this invalidated subtree slice" a bisect instead of a
+        full scan.
     """
 
     __slots__ = (
-        "root", "order", "dist", "size", "edge_pos", "pos_of",
+        "root", "order", "dist", "size", "edge_ids", "edge_pos", "pos_of",
         "transit_pos", "transit_ranks",
     )
 
-    def __init__(
-        self,
-        root: int,
-        order: list[int],
-        dist: list[float],
-        size: list[int],
-        edge_pos: dict[int, int],
-    ) -> None:
-        self.root = root
+    def __init__(self, order, dist, size, edge_ids) -> None:
+        self.root = order[0]
         self.order = order
         self.dist = dist
         self.size = size
-        self.edge_pos = edge_pos
-        self.pos_of = {node: pos for pos, node in enumerate(order)}
-        self.transit_pos: tuple[int, ...] = ()
-        self.transit_ranks: tuple[int, ...] = ()
+        self.edge_ids = edge_ids
+        self.edge_pos: dict[int, int] | None = None
+        self.pos_of: dict[int, int] | None = None
+        self.transit_pos: tuple[int, ...] | None = None
+        self.transit_ranks: tuple[int, ...] | None = None
+
+    def build_maps(self) -> None:
+        """Build ``edge_pos`` and ``pos_of`` from the lanes."""
+        edge_ids = self.edge_ids
+        self.edge_pos = {edge_ids[pos]: pos for pos in range(1, len(edge_ids))}
+        self.pos_of = {node: pos for pos, node in enumerate(self.order)}
 
     def __len__(self) -> int:
         return len(self.order)
+
+    def share(self) -> "FrozenTree":
+        """A tree over the same lanes and binding, without the maps."""
+        tree = FrozenTree(self.order, self.dist, self.size, self.edge_ids)
+        tree.transit_pos = self.transit_pos
+        tree.transit_ranks = self.transit_ranks
+        return tree
+
+    def bind(self, rank_of: list[int], transit_flags: bytearray) -> None:
+        """Fill ``transit_pos``/``transit_ranks`` for a transit set."""
+        root = self.root
+        pairs = [
+            (pos, rank_of[node_index])
+            for pos, node_index in enumerate(self.order)
+            if transit_flags[node_index] and node_index != root
+        ]
+        self.transit_pos = tuple(pos for pos, _ in pairs)
+        self.transit_ranks = tuple(rank for _, rank in pairs)
 
     @classmethod
     def from_tree(
@@ -100,15 +146,14 @@ class FrozenTree:
     ) -> "FrozenTree":
         """Flatten ``tree`` (children visited in sorted label order)."""
         index_of = frozen.index_of
-        edge_index = frozen._edge_index
-        order: list[int] = []
-        dist: list[float] = []
-        size: list[int] = []
-        edge_pos: dict[int, int] = {}
+        edge_position = frozen.edge_position
+        order = array("q")
+        dist = array("d")
+        size = array("q")
+        edge_ids = array("q")
         # Iterative preorder; a sentinel entry closes each subtree so
         # sizes can be filled on the way out.
         stack: list[tuple[int, int]] = [(tree.root, -1)]
-        open_positions: list[int] = []
         while stack:
             node, marker = stack.pop()
             if marker >= 0:
@@ -120,16 +165,28 @@ class FrozenTree:
             dist.append(tree.dist[node])
             size.append(1)
             parent = tree.parent[node]
-            if parent is not None:
-                edge_pos[edge_index[(index_of[parent], node_index)]] = pos
+            if parent is None:
+                edge_ids.append(-1)
+            else:
+                edge_id = edge_position(index_of[parent], node_index)
+                if edge_id < 0:
+                    raise KeyError((parent, node))
+                edge_ids.append(edge_id)
             stack.append((node, pos))
             for child in sorted(tree.children(node), reverse=True):
                 stack.append((child, -1))
-        return cls(order[0], order, dist, size, edge_pos)
+        return cls(order, dist, size, edge_ids)
 
 
 class FrozenIndex:
     """DISO's finished index compiled for integer-only query serving.
+
+    ``transit_nodes``, ``overlay`` and ``trees`` are the compiled index;
+    everything else is derived.  ``rank_of``/``transit_flags`` are built
+    at construction; the overlay-derived rows, the inverted index and
+    each tree's maps by :meth:`build_views`, which the frozen engines
+    call before their first query (so a compile that is only saved
+    never builds them).  Until then those attributes are ``None``.
 
     Attributes
     ----------
@@ -159,7 +216,8 @@ class FrozenIndex:
         Per rank, the frozenset of out-neighbour ranks (the surviving-
         edge filter for lazy recomputation).
     inverted:
-        ``{edge_id: (affected_ranks...)}`` — the inverted tree index.
+        ``{edge_id: (affected_ranks...)}`` — the inverted tree index,
+        ranks ascending.
     trees:
         :class:`FrozenTree` per rank.
     """
@@ -182,50 +240,63 @@ class FrozenIndex:
         self,
         frozen: FrozenGraph,
         transit_nodes: list[int],
-        rank_of: list[int],
-        transit_flags: bytearray,
         overlay: list[tuple[tuple[int, int, float], ...]],
-        inverted: dict[int, tuple[int, ...]],
         trees: list[FrozenTree],
     ) -> None:
         self.frozen = frozen
         self.transit_nodes = transit_nodes
+        n = frozen.number_of_nodes()
+        rank_of = [-1] * n
+        transit_flags = bytearray(n)
+        for rank, node_index in enumerate(transit_nodes):
+            rank_of[node_index] = rank
+            transit_flags[node_index] = 1
         self.rank_of = rank_of
         self.transit_flags = transit_flags
         self.overlay = overlay
-        # Rank rows are sorted by ascending weight so the overlay search
-        # can stop scanning a row the moment one relaxation reaches the
-        # incumbent bound (every later edge is at least as heavy).
-        self.overlay_rank_rows: list[tuple[tuple[int, float], ...]] = [
-            tuple(
-                sorted(
-                    ((head_rank, weight) for head_rank, _, weight in rows),
-                    key=lambda row: row[1],
-                )
-            )
-            for rows in overlay
-        ]
-        self.overlay_node_rows: list[tuple[tuple[int, float], ...]] = [
-            tuple((head_index, weight) for _, head_index, weight in rows)
-            for rows in overlay
-        ]
-        self.overlay_min_weight: list[float] = [
+        self.trees = trees
+        for tree in trees:
+            # A tree reused from an earlier compile over the same
+            # transit set is already bound.
+            if tree.transit_pos is None:
+                tree.bind(rank_of, transit_flags)
+        self.overlay_rank_rows: list | None = None
+        self.overlay_node_rows: list | None = None
+        self.overlay_min_weight: list[float] | None = None
+        self.overlay_head_ranks: list[frozenset[int]] | None = None
+        self.inverted: dict[int, tuple[int, ...]] | None = None
+
+    def build_views(self) -> None:
+        """Build every derived query view, once.
+
+        That is the graph's adjacency views, the overlay-derived rows,
+        each tree's maps and the inverted index.  Query paths call this
+        before their first query; a serving worker calls it while it
+        loads.  Later calls return at once.
+        """
+        if self.inverted is not None:
+            return
+        self.frozen._adjacency  # builds the graph's lazy views
+        overlay = self.overlay
+        self.overlay_rank_rows = [_rank_row(rows) for rows in overlay]
+        self.overlay_node_rows = [_node_row(rows) for rows in overlay]
+        self.overlay_min_weight = [
             rows[0][1] if rows else INFINITY
             for rows in self.overlay_rank_rows
         ]
-        self.overlay_head_ranks: list[frozenset[int]] = [
+        self.overlay_head_ranks = [
             frozenset(row[0] for row in rows) for rows in overlay
         ]
-        self.inverted = inverted
-        self.trees = trees
-        for tree in trees:
-            pairs = [
-                (pos, rank_of[node_index])
-                for pos, node_index in enumerate(tree.order)
-                if transit_flags[node_index] and node_index != tree.root
-            ]
-            tree.transit_pos = tuple(pos for pos, _ in pairs)
-            tree.transit_ranks = tuple(rank for _, rank in pairs)
+        members: dict[int, list[int]] = {}
+        for rank, tree in enumerate(self.trees):
+            if tree.edge_pos is None:
+                tree.build_maps()
+            for edge_id in tree.edge_pos:
+                members.setdefault(edge_id, []).append(rank)
+        # Set last: a non-None inverted index marks the views built.
+        self.inverted = {
+            edge_id: tuple(ranks) for edge_id, ranks in members.items()
+        }
 
     @classmethod
     def compile(
@@ -234,53 +305,91 @@ class FrozenIndex:
         distance_graph: DistanceGraph,
         trees: Mapping[int, ShortestPathTree],
         transit: frozenset[int] | set[int],
+        reuse: Mapping[int, tuple[ShortestPathTree, FrozenTree]] | None = None,
     ) -> "FrozenIndex":
         """Compile a finished dict-based index into flat-array form.
 
         ``distance_graph`` may be the plain ``D`` or a sparsified
         ``D-hat``; ``trees`` are the stored bounded trees (always the
         unsparsified ones).
+
+        ``reuse`` maps a root label to ``(tree, frozen_tree)`` from an
+        earlier compile over the same CSR shape and transit set: when
+        ``trees`` still holds that very ``tree`` object, the lanes of
+        its ``frozen_tree`` are shared instead of flattened again.
         """
         index_of = frozen.index_of
         transit_nodes = sorted(index_of[label] for label in transit)
-        n = len(frozen.node_ids)
-        rank_of = [-1] * n
-        transit_flags = bytearray(n)
-        for rank, node_index in enumerate(transit_nodes):
-            rank_of[node_index] = rank
-            transit_flags[node_index] = 1
+        rank_of = {
+            node_index: rank for rank, node_index in enumerate(transit_nodes)
+        }
 
         node_ids = frozen.node_ids
+        successors = distance_graph.graph.successors
         overlay: list[tuple[tuple[int, int, float], ...]] = []
         for node_index in transit_nodes:
             rows = []
             for head_label, weight in sorted(
-                distance_graph.graph.successors(node_ids[node_index]).items()
+                successors(node_ids[node_index]).items()
             ):
                 head_index = index_of[head_label]
                 rows.append((rank_of[head_index], head_index, weight))
             overlay.append(tuple(rows))
 
         frozen_trees: list[FrozenTree] = []
-        inverted: dict[int, tuple[int, ...]] = {}
-        members: dict[int, list[int]] = {}
-        for rank, node_index in enumerate(transit_nodes):
-            tree = FrozenTree.from_tree(trees[node_ids[node_index]], frozen)
-            frozen_trees.append(tree)
-            for edge_id in tree.edge_pos:
-                members.setdefault(edge_id, []).append(rank)
-        for edge_id, ranks in members.items():
-            inverted[edge_id] = tuple(ranks)
+        for node_index in transit_nodes:
+            label = node_ids[node_index]
+            tree = trees[label]
+            kept = reuse.get(label) if reuse is not None else None
+            if kept is not None and kept[0] is tree:
+                frozen_trees.append(kept[1].share())
+            else:
+                frozen_trees.append(FrozenTree.from_tree(tree, frozen))
 
         return cls(
             frozen=frozen,
             transit_nodes=transit_nodes,
-            rank_of=rank_of,
-            transit_flags=transit_flags,
             overlay=overlay,
-            inverted=inverted,
             trees=frozen_trees,
         )
+
+    def replace_ranks(
+        self,
+        updates: Mapping[int, tuple[FrozenTree, tuple]],
+    ) -> None:
+        """Install ``{rank: (tree, overlay_row)}`` in place.
+
+        The views are built first and kept in step; the inverted
+        entries keep ascending rank order, as a fresh build makes them.
+        The transit set is unchanged.
+        """
+        self.build_views()
+        inverted = self.inverted
+        rank_rows = self.overlay_rank_rows
+        for rank in sorted(updates):
+            tree, rows = updates[rank]
+            tree.bind(self.rank_of, self.transit_flags)
+            tree.build_maps()
+            old_ids = self.trees[rank].edge_ids
+            for pos in range(1, len(old_ids)):
+                kept = tuple(r for r in inverted[old_ids[pos]] if r != rank)
+                if kept:
+                    inverted[old_ids[pos]] = kept
+                else:
+                    del inverted[old_ids[pos]]
+            edge_ids = tree.edge_ids
+            for pos in range(1, len(edge_ids)):
+                ranks = list(inverted.get(edge_ids[pos], ()))
+                insort(ranks, rank)
+                inverted[edge_ids[pos]] = tuple(ranks)
+            self.trees[rank] = tree
+            self.overlay[rank] = rows
+            rank_rows[rank] = _rank_row(rows)
+            self.overlay_node_rows[rank] = _node_row(rows)
+            self.overlay_min_weight[rank] = (
+                rank_rows[rank][0][1] if rows else INFINITY
+            )
+            self.overlay_head_ranks[rank] = frozenset(row[0] for row in rows)
 
     # ------------------------------------------------------------------
     # Query-time lookups
@@ -446,7 +555,8 @@ class FrozenIndex:
             "distance_graph_nodes": len(self.transit_nodes),
             "distance_graph_edges": sum(len(rows) for rows in self.overlay),
             "tree_nodes": sum(len(tree) for tree in self.trees),
+            # One inverted-index entry per tree edge.
             "inverted_index_entries": sum(
-                len(ranks) for ranks in self.inverted.values()
+                len(tree) - 1 for tree in self.trees
             ),
         }

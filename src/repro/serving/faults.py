@@ -38,6 +38,12 @@ Batch-indexed (fire on the worker's Nth completed batch):
     Reply ``("error", ...)`` instead of a result — the dispatcher's
     protocol-failure raise path.
 
+Delta-indexed (fire on the worker's Nth ``"delta"`` message):
+
+``"delta_crash"``
+    ``os._exit`` before applying the delta — the dispatcher must
+    replace the worker onto the new snapshot.
+
 Targeting: a spec matches one ``worker`` slot (``None`` = any) and one
 spawn ``generation`` (0 = the original process; a replacement in the
 same slot is generation 1, so a crash spec does not re-fire in the
@@ -56,7 +62,9 @@ from dataclasses import dataclass, field
 QUERY_KINDS = frozenset({"crash", "hang", "raise"})
 #: Fault kinds indexed by the worker's running batch count.
 BATCH_KINDS = frozenset({"drop_result", "defer_result", "error_reply"})
-KINDS = QUERY_KINDS | BATCH_KINDS
+#: Fault kinds indexed by the worker's running delta count.
+DELTA_KINDS = frozenset({"delta_crash"})
+KINDS = QUERY_KINDS | BATCH_KINDS | DELTA_KINDS
 
 
 class InjectedFault(RuntimeError):
@@ -72,8 +80,9 @@ class FaultSpec:
     kind:
         One of :data:`KINDS`.
     at:
-        1-based index: the worker's Nth query (query kinds) or Nth
-        batch (batch kinds).  Counts are per worker process.
+        1-based index: the worker's Nth query (query kinds), Nth
+        batch (batch kinds) or Nth delta (delta kinds).  Counts are per
+        worker process.
     worker:
         Worker slot this spec targets; ``None`` matches every slot.
     generation:
@@ -165,6 +174,7 @@ class FaultInjector:
         self.generation = generation
         self.queries_seen = 0
         self.batches_seen = 0
+        self.deltas_seen = 0
         self.specs = [
             spec
             for spec in plan.specs
@@ -205,6 +215,12 @@ class FaultInjector:
             f"injected failure at query {spec.at} "
             f"(worker {self.worker_id}, generation {self.generation})"
         )
+
+    def on_delta(self) -> None:
+        """Called on each delta message, before it is applied."""
+        self.deltas_seen += 1
+        if self._arm(DELTA_KINDS, self.deltas_seen) is not None:
+            os._exit(19)
 
     def on_batch(self, conn, batch_id: tuple[int, int]) -> None:
         """Called on batch receipt: flush replies deferred from other epochs."""

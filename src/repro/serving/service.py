@@ -56,9 +56,16 @@ queueing unboundedly.  All three sit *before* shard dispatch — cache
 hits and sheds never reach a worker — and all three are off by
 default, leaving the v2/v3 behaviour untouched.
 
+Index updates (DESIGN.md §7.4): :meth:`QueryService.swap_snapshot`
+diffs the new file against the served one and, when they differ only
+in edge weights and per-rank trees and overlay rows, has each live
+worker patch its engine in place (a ``"delta"`` message) instead of
+restarting the pool.
+
 The dispatcher itself never loads the oracle: the only artifacts it
 touches are the snapshot path (a string), the query/answer tuples on
-the pipes, and the float lanes of the result ring.
+the pipes, the float lanes of the result ring, and the raw sections of
+the served and the new snapshot when it diffs them.
 """
 
 from __future__ import annotations
@@ -75,7 +82,9 @@ from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from collections.abc import Sequence
 
+from repro.exceptions import FormatError
 from repro.oracle.parallel import latency_percentile
+from repro.oracle.snapshot import SnapshotReader, snapshot_delta
 from repro.serving.admission import DeadlineAdmission
 from repro.serving.cache import (
     HotPairTracker,
@@ -476,6 +485,9 @@ class QueryService:
         #: fallback.  Replacement/resend paths read it to rebuild batch
         #: messages mid-run.
         self._ring: ResultRing | None = None
+        #: A mapping of the served file while the pool runs, the base
+        #: ``swap_snapshot`` diffs a new file against.
+        self._reader: SnapshotReader | None = None
         self.snapshot_path = str(snapshot_path)
         self.workers = workers
         self.chunk_size = chunk_size
@@ -530,6 +542,17 @@ class QueryService:
         :func:`_start_pools`, also for the failure contract).
         """
         _start_pools([self])
+        if self._reader is None:
+            try:
+                self._reader = SnapshotReader(
+                    self.snapshot_path, verify=False
+                )
+            except (FormatError, OSError) as exc:
+                # swap_snapshot then takes the restart path.
+                logger.info(
+                    "cannot map %s for delta swaps: %s",
+                    self.snapshot_path, exc,
+                )
         return self
 
     def stop(self) -> None:
@@ -539,6 +562,9 @@ class QueryService:
         are only a warm-up, never worth waiting on a worker for.
         """
         self._refresh = None
+        if self._reader is not None:
+            self._reader.close()
+            self._reader = None
         for handle in self._pool:
             try:
                 handle.conn.send(("stop",))
@@ -629,6 +655,11 @@ class QueryService:
         # own spawn generation (the fault rig targets generations).
         self._restart_counts[handle.index] += 1
         replacement = self._spawn(handle.index)
+        logger.info(
+            "replaced worker %d: pid %d -> %d (restart %d of the slot)",
+            handle.index, handle.pid, replacement.pid,
+            self._restart_counts[handle.index],
+        )
         for batch_id, (start, chunk) in handle.outstanding.items():
             replacement.outstanding[batch_id] = (start, chunk)
             replacement.conn.send(self._batch_message(batch_id, chunk))
@@ -903,25 +934,132 @@ class QueryService:
         self._snapshot_epoch += 1
         if self._cache is not None:
             self._cache.retire_older_than(self._snapshot_epoch)
+        logger.info(
+            "retired snapshot epoch %d; now serving epoch %d",
+            self._snapshot_epoch - 1, self._snapshot_epoch,
+        )
         return self._snapshot_epoch
 
     def swap_snapshot(self, snapshot_path: str | Path) -> int:
         """Serve ``snapshot_path`` from now on; retire the old epoch.
 
-        Stops the pool, retargets it at the new file, bumps the
-        snapshot epoch (killing every cache entry computed under the
-        old snapshot), and restarts the workers if they were running.
-        Returns the new snapshot epoch.
+        When the pool is running and the new file differs from the
+        served one only in edge weights and per-rank trees and overlay
+        rows (:func:`~repro.oracle.snapshot.snapshot_delta`), every live
+        worker patches its engine in place (the ``"delta"`` message,
+        DESIGN.md §8.1); a worker that fails, dies or times out on it is
+        replaced by one that loads the new file.  Otherwise — a changed
+        node set, CSR shape or transit set, another engine, an
+        unreadable file — the pool is stopped, retargeted and restarted.
+        Either way the snapshot epoch is retired, killing every cache
+        entry computed under the old snapshot, and the new epoch is
+        returned.  Answers are bitwise those of a fresh load of
+        ``snapshot_path`` on both paths.
         """
         self._settle_refresh()
-        was_started = self._started
-        if was_started:
+        path = str(snapshot_path)
+        plan = self._delta_plan(path)
+        if isinstance(plan, str):
+            logger.info("snapshot swap to %s: restart (%s)", path, plan)
+            was_started = self._started
+            if was_started:
+                self.stop()
+            self.snapshot_path = path
+            epoch = self.retire_snapshot_epoch()
+            if was_started:
+                self.start()
+            return epoch
+        reader, edge_ids, ranks = plan
+        try:
+            slowest = self._send_delta(path, edge_ids, ranks)
+        except BaseException:
+            reader.close()
             self.stop()
-        self.snapshot_path = str(snapshot_path)
-        epoch = self.retire_snapshot_epoch()
-        if was_started:
-            self.start()
-        return epoch
+            # snapshot_path already names the new file: a later start()
+            # must not serve cache entries of the old one.
+            self.retire_snapshot_epoch()
+            raise
+        self._reader.close()
+        self._reader = reader
+        logger.info(
+            "snapshot swap to %s: delta (%d ranks, %d edges, "
+            "max worker apply %.2f ms)",
+            path, len(ranks), len(edge_ids), slowest * 1e3,
+        )
+        return self.retire_snapshot_epoch()
+
+    def _delta_plan(self, path: str):
+        """``(reader, edge_ids, ranks)`` for a delta swap, else the reason."""
+        if not self._started:
+            return "the pool is not running"
+        if self._reader is None:
+            return "the served file is not mapped"
+        if self._reader.rewritten():
+            return "the served file was rewritten in place"
+        try:
+            reader = SnapshotReader(path)
+        except (FormatError, OSError) as exc:
+            return f"the new file is unreadable: {exc}"
+        try:
+            delta = snapshot_delta(self._reader, reader)
+        except FormatError as exc:
+            delta = f"the files cannot be compared: {exc}"
+        except BaseException:
+            reader.close()
+            raise
+        if isinstance(delta, str):
+            reader.close()
+            return delta
+        return (reader, *delta)
+
+    def _send_delta(self, path: str, edge_ids, ranks) -> float:
+        """Have every worker apply a delta; replace the ones that fail.
+
+        Returns the slowest worker's apply time in seconds.
+        """
+        # From here on a replacement loads the new file whole.
+        self.snapshot_path = path
+        message = ("delta", path, edge_ids, ranks)
+        failed: list[_WorkerHandle] = []
+        waiting: list[_WorkerHandle] = []
+        for handle in self._pool:
+            try:
+                handle.conn.send(message)
+            except (BrokenPipeError, OSError):
+                failed.append(handle)
+            else:
+                waiting.append(handle)
+        deadline = time.perf_counter() + _READY_TIMEOUT
+        slowest = 0.0
+        for handle in waiting:
+            seconds = self._await_delta(handle, deadline)
+            if seconds is None:
+                failed.append(handle)
+            else:
+                slowest = max(slowest, seconds)
+        for handle in failed:
+            self._replace(handle)
+        return slowest
+
+    @staticmethod
+    def _await_delta(handle: _WorkerHandle, deadline: float) -> float | None:
+        """A worker's delta apply seconds; ``None`` if it failed or died."""
+        while True:
+            remaining = deadline - time.perf_counter()
+            if remaining <= 0 or not handle.conn.poll(remaining):
+                return None
+            try:
+                message = handle.conn.recv()
+            except (EOFError, OSError):
+                return None
+            if message[0] == "delta_ok":
+                return message[2]
+            if message[0] == "error":
+                logger.info(
+                    "worker %d failed a delta: %s", handle.index, message[2]
+                )
+                return None
+            # Anything else is a late reply to an aborted run: drop it.
 
     def refresh_hot_pairs(self, limit: int | None = None) -> int:
         """Deal the hottest uncached pairs to the pool for precompute.

@@ -32,6 +32,15 @@ specification lives in DESIGN.md §8, the shared-memory result plane in
     the float plane unchanged) and ``errors`` lists ``(position,
     "ExcType: message")`` for every failed position — the per-query
     error channel.
+``("delta", path, edge_ids, ranks)``
+    Become the engine of snapshot ``path`` in place: the dispatcher
+    sends this instead of a restart when ``path`` differs from the
+    served file only in edge weights and per-rank trees and overlay
+    rows (:func:`repro.oracle.snapshot.snapshot_delta`).  The worker
+    maps ``path``, copies only those slices, closes the mapping and
+    replies ``("delta_ok", worker_id, apply_seconds)``; on any error it
+    replies ``("error", worker_id, message)`` and the dispatcher
+    replaces it with a worker that loads ``path`` whole.
 ``("ping",)``
     Reply ``("pong", worker_id)`` — liveness probe.  A worker blocked
     inside a query (hung or genuinely slow past the dispatcher's
@@ -120,7 +129,7 @@ def worker_main(
     generation: int = 0,
 ) -> None:
     """Run one worker: map the snapshot, then serve batches until stop."""
-    from repro.oracle.snapshot import load_snapshot
+    from repro.oracle.snapshot import apply_snapshot_delta, load_snapshot
 
     injector = None
     if fault_plan:
@@ -135,6 +144,9 @@ def worker_main(
     try:
         started = time.perf_counter()
         oracle = load_snapshot(snapshot_path)
+        # Build the lazy query views now, before the collector is
+        # frozen below, so no request pays for them.
+        oracle.index.build_views()
         load_seconds = time.perf_counter() - started
     except Exception as exc:  # surface load failures to the dispatcher
         try:
@@ -203,6 +215,21 @@ def worker_main(
                     reply = injector.outgoing_reply(batch_id, reply)
                 if reply is not None:
                     conn.send(reply)
+            elif kind == "delta":
+                _, path, edge_ids, ranks = message
+                if injector is not None:
+                    injector.on_delta()
+                tick = time.perf_counter()
+                try:
+                    apply_snapshot_delta(oracle, path, edge_ids, ranks)
+                except Exception as exc:
+                    conn.send(
+                        ("error", worker_id, f"{type(exc).__name__}: {exc}")
+                    )
+                else:
+                    conn.send(
+                        ("delta_ok", worker_id, time.perf_counter() - tick)
+                    )
             elif kind == "ping":
                 conn.send(("pong", worker_id))
             elif kind == "crash":

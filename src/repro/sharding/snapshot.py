@@ -39,6 +39,7 @@ from repro.oracle.snapshot import (
     load_snapshot,
     pack_container,
     save_snapshot,
+    write_atomic,
 )
 from repro.sharding.frozen_overlay import (
     FrozenOverlay,
@@ -125,7 +126,7 @@ def save_sharded_snapshot(build, target: str | Path) -> Path:
         engine="ShardedSnapshot",
         meta=meta,
     )
-    (target / MANIFEST_NAME).write_bytes(blob)
+    write_atomic(target / MANIFEST_NAME, blob)
     for shard, name in enumerate(shard_files):
         save_snapshot(build.shard_oracles[shard], target / name)
     return target

@@ -49,6 +49,16 @@ def ring_segments() -> set[str]:
     }
 
 
+def own_ring_segments() -> set[str]:
+    """Live ring segments created by this process's dispatchers.
+
+    Ring names embed the creating pid, so this scan ignores rings that
+    a concurrent run elsewhere on the box owns.
+    """
+    own = f"{NAME_PREFIX}{os.getpid()}-"
+    return {name for name in ring_segments() if name.startswith(own)}
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
     """Every test must leave ``/dev/shm`` exactly as it found it."""
@@ -221,9 +231,7 @@ class TestServicePlanes:
             path, workers=2, fault_plan=plan, chunk_size=4
         ) as svc:
             report = svc.run(batch)
-            # Ring names carry the creating dispatcher's pid.
-            own = f"{NAME_PREFIX}{os.getpid()}-"
-            assert not any(name.startswith(own) for name in ring_segments())
+            assert own_ring_segments() == set()
         assert report.result_plane == "pipe"
         assert report.answers == expected
         assert report.restarts == 1
@@ -238,7 +246,7 @@ class TestNoLeaks:
             for _ in range(3):
                 assert svc.run(batch).answers == expected
                 # The per-run ring is destroyed before run() returns.
-                assert ring_segments() == set()
+                assert own_ring_segments() == set()
 
     def test_injected_crash_leaves_nothing(self, served):
         path, batch, expected = served
@@ -269,4 +277,4 @@ class TestNoLeaks:
         ) as svc:
             with pytest.raises(RuntimeError, match="injected error reply"):
                 svc.run(batch)
-            assert ring_segments() == set()
+            assert own_ring_segments() == set()

@@ -152,6 +152,24 @@ class FrozenDISO(DistanceSensitivityOracle):
         if kernel is not None:
             kernel.refresh(ranks, weights)
 
+    def close(self) -> None:
+        """Release the snapshot mapping this engine was loaded from.
+
+        Only engines from :func:`~repro.oracle.snapshot.load_snapshot`
+        hold one; for them the engine must not be queried afterwards.
+        Idempotent, and a no-op for engines built by ``freeze()``.
+        """
+        reader = getattr(self, "_snapshot_reader", None)
+        if reader is not None:
+            self._snapshot_reader = None
+            reader.close()
+
+    def __enter__(self) -> "FrozenDISO":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def _has_node(self, node: int) -> bool:
         return node in self.frozen.index_of
 

@@ -36,18 +36,19 @@ cost), not a reusable fact about the graph.
 
 :class:`HotPairTracker` is the workload-skew observer feeding hot-pair
 precomputation: decayed counters over canonical keys, cheap enough to
-update on every query, whose ``top(k)`` drives
-:meth:`repro.serving.QueryService.refresh_hot_pairs` during dispatcher
-idle gaps.
+update on every query.  A cache built with a tracker drives it: every
+insert and removal tells the tracker, which keeps a sorted leaderboard
+of the tracked keys the cache does not hold, so ``top(k)`` — what
+:meth:`repro.serving.QueryService.refresh_hot_pairs` deals after each
+run — is a slice, not a walk over the table and the cache.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
+from bisect import bisect_left, insort
 from collections import OrderedDict
-from collections.abc import Callable
 
 from repro.oracle.base import canonical_failure_key
 
@@ -76,16 +77,24 @@ class ResultCache:
     ----------
     capacity:
         Maximum number of cached answers (>= 1).  Eviction is LRU.
+    tracker:
+        Optional :class:`HotPairTracker` whose ``top(k)`` must skip the
+        keys this cache holds.  The cache reports every insert and
+        removal to it; one tracker serves one cache.
 
     Notes
     -----
     Thread-safe: the serving dispatcher is single-threaded today, but
     callers may share one cache across threads, so every mutation and
     every stats snapshot takes the lock (the same discipline as
-    :class:`repro.oracle.caching.CachingDISO`'s endpoint cache).
+    :class:`repro.oracle.caching.CachingDISO`'s endpoint cache).  A
+    bound tracker takes the same lock, so its leaderboard and the
+    cache's entries change together.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(
+        self, capacity: int, tracker: "HotPairTracker | None" = None
+    ) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self._capacity = capacity
@@ -94,6 +103,9 @@ class ResultCache:
             QueryKey, tuple[float, int, bool]
         ] = OrderedDict()
         self._lock = threading.Lock()
+        self._tracker = tracker
+        if tracker is not None:
+            tracker._bind(self._entries, self._lock)
         self._hits = 0
         self._misses = 0
         self._precomputed_hits = 0
@@ -116,6 +128,8 @@ class ResultCache:
             answer, entry_epoch, precomputed = entry
             if entry_epoch != epoch:
                 del self._entries[key]
+                if self._tracker is not None:
+                    self._tracker._uncached(key)
                 self._stale_drops += 1
                 self._misses += 1
                 return None
@@ -140,18 +154,18 @@ class ResultCache:
         if math.isnan(answer):
             return False
         with self._lock:
+            tracker = self._tracker
+            if tracker is not None and key not in self._entries:
+                tracker._cached(key)
             self._entries[key] = (answer, epoch, precomputed)
             self._entries.move_to_end(key)
             self._inserts += 1
             while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
+                evicted, _ = self._entries.popitem(last=False)
+                if tracker is not None:
+                    tracker._uncached(evicted)
                 self._evictions += 1
         return True
-
-    def keys(self) -> frozenset[QueryKey]:
-        """Snapshot of the cached keys, no stats side effects (precompute)."""
-        with self._lock:
-            return frozenset(self._entries)
 
     def retire_older_than(self, epoch: int) -> int:
         """Drop every entry stamped with a snapshot epoch < ``epoch``.
@@ -167,6 +181,8 @@ class ResultCache:
             ]
             for key in stale:
                 del self._entries[key]
+            if stale and self._tracker is not None:
+                self._tracker._rebuild()
             self._stale_drops += len(stale)
             return len(stale)
 
@@ -178,6 +194,8 @@ class ResultCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            if self._tracker is not None:
+                self._tracker._rebuild()
 
     def stats(self) -> dict:
         """One consistent snapshot of every counter plus the size."""
@@ -210,6 +228,13 @@ class HotPairTracker:
     table is bounded: when it outgrows ``capacity`` the lowest-scored
     keys are pruned.
 
+    The leaderboard holds ``(-score, key)`` for every tracked key the
+    bound :class:`ResultCache` does not hold (every tracked key when
+    none is bound), kept sorted as it changes: an observation of an
+    uncached key moves one entry, a cache insert removes one, a cache
+    removal puts one back, and aging or an epoch retirement rebuilds it
+    in one sort.  Observing a cached key touches only its score.
+
     Deterministic: ranking ties break on the key itself, so the same
     observation sequence always yields the same ``top(k)``.
     """
@@ -231,13 +256,27 @@ class HotPairTracker:
         self._decay_every = decay_every
         self._scores: dict[QueryKey, float] = {}
         self._observed = 0
+        #: The bound cache's entries; membership means "cached".
+        self._resident: dict = {}
+        #: Guards scores and leaderboard; a bound cache's lock, which is
+        #: held whenever the cache calls back in.
+        self._lock = threading.Lock()
+        #: ``(-score, key)`` of every tracked uncached key, ascending.
+        self._board: list[tuple[float, QueryKey]] = []
 
     def observe(self, key: QueryKey) -> None:
         """Record one sighting of ``key``."""
-        self._scores[key] = self._scores.get(key, 0.0) + 1.0
-        self._observed += 1
-        if self._observed % self._decay_every == 0:
-            self._age()
+        with self._lock:
+            old = self._scores.get(key)
+            score = (0.0 if old is None else old) + 1.0
+            self._scores[key] = score
+            if key not in self._resident:
+                if old is not None:
+                    del self._board[bisect_left(self._board, (-old, key))]
+                insort(self._board, (-score, key))
+            self._observed += 1
+            if self._observed % self._decay_every == 0:
+                self._age()
 
     def _age(self) -> None:
         """Decay all scores; prune the coldest keys past capacity."""
@@ -252,30 +291,42 @@ class HotPairTracker:
             )
             decayed = dict(ranked[: self._capacity])
         self._scores = decayed
+        self._rebuild()
 
-    def top(
-        self,
-        k: int,
-        exclude: Callable[[QueryKey], bool] | None = None,
-    ) -> list[QueryKey]:
-        """The ``k`` hottest keys, hottest first, skipping ``exclude`` hits.
+    # -- residency, reported by the bound ResultCache under its lock ----
+    def _bind(self, entries: dict, lock: threading.Lock) -> None:
+        with lock:
+            self._resident = entries
+            self._lock = lock
+            self._rebuild()
 
-        ``exclude`` is called once per tracked key, so pass a cheap
-        predicate — typically ``ResultCache.keys().__contains__``:
-        precompute should spend its budget on hot pairs that are *not*
-        already answered.
-        """
-        if k < 1:
-            return []
-        # Filter, then heap-select the few survivors: no full sort of
-        # the table.  Keys are unique, so ``(-score, key)`` is a total
-        # order and the result matches a full sort exactly.
-        candidates = [
+    def _cached(self, key: QueryKey) -> None:
+        """``key`` entered the cache: take it off the leaderboard."""
+        score = self._scores.get(key)
+        if score is not None:
+            del self._board[bisect_left(self._board, (-score, key))]
+
+    def _uncached(self, key: QueryKey) -> None:
+        """``key`` left the cache: put it back on the leaderboard."""
+        score = self._scores.get(key)
+        if score is not None:
+            insort(self._board, (-score, key))
+
+    def _rebuild(self) -> None:
+        """Re-derive the leaderboard from the scores in one sort."""
+        resident = self._resident
+        # Keys are unique, so ``(-score, key)`` is a total order: the
+        # dict's iteration order cannot reach the result.
+        self._board = sorted(
             (-score, key)
             for key, score in self._scores.items()
-            if exclude is None or not exclude(key)
-        ]
-        return [key for _, key in heapq.nsmallest(k, candidates)]
+            if key not in resident
+        )
+
+    def top(self, k: int) -> list[QueryKey]:
+        """The ``k`` hottest keys the bound cache lacks, hottest first."""
+        with self._lock:
+            return [key for _, key in self._board[: max(k, 0)]]
 
     def __len__(self) -> int:
         return len(self._scores)

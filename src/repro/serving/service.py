@@ -47,8 +47,8 @@ with the snapshot epoch it was computed under so retiring a snapshot
 (:meth:`QueryService.swap_snapshot`) invalidates the whole cache by
 bumping an integer.  ``hot_pairs > 0`` adds a
 :class:`~repro.serving.cache.HotPairTracker` whose hottest uncached
-keys are precomputed during dispatcher idle gaps
-(:meth:`QueryService.refresh_hot_pairs`).  ``deadline_ms`` arms a
+keys are dealt to the pool as each run returns and answered in the
+idle gap (:meth:`QueryService.refresh_hot_pairs`).  ``deadline_ms`` arms a
 :class:`~repro.serving.admission.DeadlineAdmission` load-shedder: when
 the queued work provably cannot meet the deadline budget, the excess
 is answered with the NaN sentinel under a ``"shed"`` status instead of
@@ -512,8 +512,10 @@ class QueryService:
         self.cache_size = cache_size
         self.hot_pairs = hot_pairs
         self.deadline_ms = deadline_ms
-        self._cache = ResultCache(cache_size) if cache_size else None
         self._hot = HotPairTracker() if hot_pairs else None
+        self._cache = (
+            ResultCache(cache_size, self._hot) if cache_size else None
+        )
         self._admission = (
             DeadlineAdmission(deadline_ms, workers)
             if deadline_ms is not None
@@ -561,6 +563,11 @@ class QueryService:
         A pending hot-pair refresh is dropped unharvested: its answers
         are only a warm-up, never worth waiting on a worker for.
         """
+        if self._refresh is not None:
+            logger.info(
+                "stop dropped an unharvested hot-pair refresh of %d keys",
+                len(self._refresh.keys),
+            )
         self._refresh = None
         if self._reader is not None:
             self._reader.close()
@@ -792,6 +799,10 @@ class QueryService:
                     shed_indices.extend(duplicates.pop(position, ()))
                 dispatch_positions = dispatch_positions[:admitted]
                 shed_indices.sort()
+                logger.info(
+                    "shed %d queries, admitted %d (deadline %g ms)",
+                    len(shed_indices), admitted, self._admission.deadline_ms,
+                )
 
         # ``identity`` means the fast pre-dispatch stages passed every
         # query through untouched — the v2/v3 hot path, zero extra
@@ -1065,7 +1076,8 @@ class QueryService:
         """Deal the hottest uncached pairs to the pool for precompute.
 
         Sends up to ``limit`` (default ``hot_pairs``) of the tracker's
-        hottest keys that have no live cache entry under a fresh run
+        hottest keys that have no cache entry — the head of its
+        leaderboard, which the cache keeps current — under a fresh run
         epoch, and returns without waiting for the answers.  The next
         ``run()``, ``refresh_hot_pairs()``, ``cache_stats()``,
         ``precomputed_total`` or snapshot retirement harvests them into
@@ -1083,9 +1095,7 @@ class QueryService:
         if self._hot is None or self._cache is None or not self._started:
             return 0
         budget = self.hot_pairs if limit is None else limit
-        hot_keys = self._hot.top(
-            budget, exclude=self._cache.keys().__contains__
-        )
+        hot_keys = self._hot.top(budget)
         if not hot_keys:
             return 0
         wire = [

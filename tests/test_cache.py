@@ -13,12 +13,22 @@ load shedding.  The load-bearing properties:
   match the NEW oracle.  Remove the epoch check and this test fails.
 * **Sheds are honest** — a shed query is NaN + status ``"shed"``, not
   an error and never a stale answer.
+* **The leaderboard chooses what a scan chooses** — the tracker's
+  incremental leaderboard of uncached keys returns exactly what a
+  filter and heap-select over the whole table returns
+  (:class:`ReferenceTracker`), after any sequence of observations and
+  cache inserts, evictions, stale drops, retirements and clears.
 """
 
 from __future__ import annotations
 
+import heapq
+import logging
 import math
+import random
+import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -39,10 +49,12 @@ from repro.serving import (
     ResultCache,
     canonical_query_key,
 )
-from repro.workload.queries import generate_queries
+from repro.workload.queries import generate_queries, generate_zipf_queries
 from util import random_failures_from, random_graph
 
 from test_serving import make_service
+
+LOGGER = "repro.serving.service"
 
 
 # ----------------------------------------------------------------------
@@ -148,6 +160,16 @@ class TestResultCache:
 # ----------------------------------------------------------------------
 # HotPairTracker
 # ----------------------------------------------------------------------
+#: Every key the property tests draw: small, so ties and repeats abound.
+FAILURE_SPELLINGS = [None, ((1, 2),), ((0, 1), (2, 3))]
+KEY_SPACE = [
+    canonical_query_key(source, target, failed)
+    for source in range(4)
+    for target in range(4)
+    for failed in FAILURE_SPELLINGS
+]
+
+
 class TestHotPairTracker:
     def test_top_ranks_by_frequency(self):
         tracker = HotPairTracker()
@@ -171,12 +193,17 @@ class TestHotPairTracker:
 
     def test_exclude_filters_already_cached(self):
         tracker = HotPairTracker()
+        cache = ResultCache(8, tracker)
         a = canonical_query_key(1, 2, None)
         b = canonical_query_key(3, 4, None)
         for _ in range(5):
             tracker.observe(a)
         tracker.observe(b)
-        assert tracker.top(2, exclude=lambda key: key == a) == [b]
+        cache.put(a, 1.0, epoch=1)
+        assert tracker.top(2) == [b]
+        # Leaving the cache puts the key back at its rank.
+        assert cache.get(a, epoch=2) is None
+        assert tracker.top(2) == [a, b]
 
     def test_decay_forgets_old_traffic(self):
         tracker = HotPairTracker(decay=0.5, decay_every=8)
@@ -203,7 +230,7 @@ class TestHotPairTracker:
             st.tuples(
                 st.integers(0, 3),
                 st.integers(0, 3),
-                st.sampled_from([None, ((1, 2),), ((0, 1), (2, 3))]),
+                st.sampled_from(FAILURE_SPELLINGS),
             ),
             max_size=60,
         ),
@@ -212,17 +239,194 @@ class TestHotPairTracker:
     )
     def test_top_matches_full_sort_reference(self, observed, excluded, k):
         # No aging inside the sequence: scores are plain counts.
+        plain = HotPairTracker(decay_every=10_000)
         tracker = HotPairTracker(decay_every=10_000)
+        cache = ResultCache(64, tracker)
         counts: dict = {}
-        for source, target, failed in observed:
-            key = canonical_query_key(source, target, failed)
-            tracker.observe(key)
-            counts[key] = counts.get(key, 0) + 1
+
+        def observe_all(triples) -> None:
+            for source, target, failed in triples:
+                key = canonical_query_key(source, target, failed)
+                plain.observe(key)
+                tracker.observe(key)
+                counts[key] = counts.get(key, 0) + 1
+
+        # Cache the excluded keys midway, so that both tracked and
+        # untracked keys enter the cache, and both cached and uncached
+        # keys are observed after.
+        half = len(observed) // 2
+        observe_all(observed[:half])
+        for key in KEY_SPACE:
+            if 4 * key[0] + key[1] in excluded:
+                cache.put(key, 1.0, epoch=1)
+        observe_all(observed[half:])
         skip = {key for key in counts if 4 * key[0] + key[1] in excluded}
         ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
         survivors = [key for key, _ in ranked if key not in skip]
-        assert tracker.top(k, exclude=skip.__contains__) == survivors[:k]
+        assert tracker.top(k) == survivors[:k]
+        assert plain.top(k) == [key for key, _ in ranked][:k]
+        cache.clear()
         assert tracker.top(k) == [key for key, _ in ranked][:k]
+
+
+# ----------------------------------------------------------------------
+# Leaderboard vs. the scan it replaced
+# ----------------------------------------------------------------------
+class ReferenceTracker:
+    """The scan-based tracker: filter the table, heap-select the top.
+
+    Scores evolve exactly as :class:`HotPairTracker`'s; ``top`` walks
+    every tracked key and asks ``exclude`` about each — the selection
+    the incremental leaderboard must reproduce.
+    """
+
+    def __init__(self, capacity=4096, decay=0.5, decay_every=1024):
+        self._capacity = capacity
+        self._decay = decay
+        self._decay_every = decay_every
+        self._scores: dict = {}
+        self._observed = 0
+
+    def observe(self, key) -> None:
+        self._scores[key] = self._scores.get(key, 0.0) + 1.0
+        self._observed += 1
+        if self._observed % self._decay_every == 0:
+            decayed = {
+                key: score * self._decay
+                for key, score in self._scores.items()
+                if score * self._decay >= 0.125
+            }
+            if len(decayed) > self._capacity:
+                ranked = sorted(
+                    decayed.items(), key=lambda item: (-item[1], item[0])
+                )
+                decayed = dict(ranked[: self._capacity])
+            self._scores = decayed
+
+    def top(self, k, exclude=None) -> list:
+        if k < 1:
+            return []
+        candidates = [
+            (-score, key)
+            for key, score in self._scores.items()
+            if exclude is None or not exclude(key)
+        ]
+        return [key for _, key in heapq.nsmallest(k, candidates)]
+
+
+# Few keys, so that one key is observed, cached and dropped in turn.
+_KEYS = st.sampled_from(KEY_SPACE[:6])
+_OBSERVE = st.tuples(st.just("observe"), _KEYS)
+_PUT = st.tuples(
+    st.just("put"), _KEYS,
+    st.sampled_from([1.0, 2.5, float("inf"), float("nan")]),
+)
+_GET = st.tuples(st.just("get"), _KEYS)
+# Retirement, clears and aging rebuild the whole leaderboard, hiding a
+# lost single update; keep them rarer than the single updates.
+_OPERATIONS = st.one_of(
+    _OBSERVE, _OBSERVE, _OBSERVE, _PUT, _PUT, _GET, _GET,
+    st.tuples(st.just("epoch")),
+    st.tuples(st.just("retire")),
+    st.tuples(st.just("clear")),
+)
+
+
+class TestLeaderboardDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        operations=st.lists(_OPERATIONS, min_size=40, max_size=200),
+        cache_capacity=st.integers(1, 4),
+        tracker_capacity=st.integers(1, 8),
+        decay_every=st.integers(1, 40),
+        k=st.integers(0, 8),
+    )
+    def test_top_matches_the_scan_after_every_step(
+        self, operations, cache_capacity, tracker_capacity, decay_every, k
+    ):
+        tracker = HotPairTracker(
+            capacity=tracker_capacity, decay_every=decay_every
+        )
+        cache = ResultCache(cache_capacity, tracker)
+        reference = ReferenceTracker(
+            capacity=tracker_capacity, decay_every=decay_every
+        )
+        plain = ResultCache(cache_capacity)
+        epoch = 1
+        for operation in operations:
+            kind = operation[0]
+            if kind == "observe":
+                tracker.observe(operation[1])
+                reference.observe(operation[1])
+            elif kind == "put":
+                assert cache.put(operation[1], operation[2], epoch) == (
+                    plain.put(operation[1], operation[2], epoch)
+                )
+            elif kind == "get":
+                # Under a moved epoch this is a stale drop.
+                assert cache.get(operation[1], epoch) == plain.get(
+                    operation[1], epoch
+                )
+            elif kind == "epoch":
+                epoch += 1
+            elif kind == "retire":
+                assert cache.retire_older_than(epoch) == (
+                    plain.retire_older_than(epoch)
+                )
+            else:
+                cache.clear()
+                plain.clear()
+            cached = frozenset(plain._entries)
+            assert tracker.top(k) == reference.top(k, cached.__contains__)
+            assert tracker.top(len(KEY_SPACE)) == reference.top(
+                len(KEY_SPACE), cached.__contains__
+            )
+        # Binding a tracker changes nothing the cache itself does.
+        assert cache.stats() == plain.stats()
+        assert list(cache._entries.items()) == list(plain._entries.items())
+
+    def test_threads_keep_the_leaderboard_consistent(self):
+        tracker = HotPairTracker(decay_every=50)
+        cache = ResultCache(4, tracker)
+        failures: list = []
+
+        def hammer(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                while time.perf_counter() < deadline:
+                    key = rng.choice(KEY_SPACE[:6])
+                    roll = rng.random()
+                    if roll < 0.5:
+                        tracker.observe(key)
+                    elif roll < 0.8:
+                        cache.put(key, 1.0, epoch=1 + (roll > 0.75))
+                    else:
+                        cache.get(key, epoch=1)  # epoch-2 entries drop
+            except Exception as exc:  # surfaced by the assert below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        deadline = time.perf_counter() + 1.5
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(seed,))
+                for seed in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        expected = sorted(
+            (-score, key)
+            for key, score in tracker._scores.items()
+            if key not in cache._entries
+        )
+        assert tracker.top(len(KEY_SPACE)) == [key for _, key in expected]
 
 
 # ----------------------------------------------------------------------
@@ -609,8 +813,9 @@ def test_worker_crash_during_pending_refresh(tmp_path):
         )
 
 
-def test_stop_drops_a_pending_refresh(tmp_path):
+def test_stop_drops_a_pending_refresh(tmp_path, caplog):
     _, _, path, batch, hot_query = _pending_refresh_setup(tmp_path, 57)
+    caplog.set_level(logging.INFO, logger=LOGGER)
     with make_service(
         path, workers=1, cache_size=64, hot_pairs=1
     ) as service:
@@ -621,3 +826,90 @@ def test_stop_drops_a_pending_refresh(tmp_path):
         assert service.precomputed_total == 0
         assert service.total_restarts == 0
         assert service.cache_stats()["inserts"] == len(batch)
+    dropped = [
+        record.getMessage() for record in caplog.records
+        if "unharvested" in record.getMessage()
+    ]
+    # One record, from the stop() that dropped it; the context exit's
+    # second stop() had nothing left to drop.
+    assert dropped == [
+        "stop dropped an unharvested hot-pair refresh of 1 keys"
+    ]
+
+
+def test_a_shedding_run_logs_one_record(tmp_path, caplog):
+    graph = random_graph(59, n=30, extra=60)
+    frozen = DISO(graph, tau=3).freeze()
+    path = save_snapshot(frozen, tmp_path / "o.dsosnap")
+    batch = generate_queries(graph, 16, f_gen=2, p=0.01, seed=7)
+    with make_service(path, workers=1, deadline_ms=1e-6) as service:
+        caplog.set_level(logging.INFO, logger=LOGGER)
+        report = service.run(batch)
+        records = [
+            record for record in caplog.records if record.name == LOGGER
+        ]
+    assert report.shed_count == len(batch)
+    # One record for the run, none per query.
+    assert [record.getMessage() for record in records] == [
+        f"shed {len(batch)} queries, admitted 0 (deadline 1e-06 ms)"
+    ]
+    assert records[0].levelno == logging.INFO
+
+
+def test_refresh_deals_the_reference_selection(tmp_path):
+    """Every refresh deals what the scan over the tracker and the cache
+    would, through LRU evictions and a snapshot swap, so the cache
+    counters and the precompute count match the scan's exactly."""
+    from repro.graph.digraph import DiGraph
+
+    graph_a = random_graph(61, n=30, extra=60)
+    graph_b = DiGraph()
+    for tail, head, weight in graph_a.edges():
+        graph_b.add_edge(tail, head, weight * 3.0 + 1.0)
+    path_a = save_snapshot(DISO(graph_a, tau=3).freeze(), tmp_path / "a")
+    path_b = save_snapshot(DISO(graph_b, tau=3).freeze(), tmp_path / "b")
+    queries = [
+        (query.source, query.target, query.failed)
+        for query in generate_zipf_queries(
+            graph_a, 160, pool_size=24, variants_per_pair=2, f_gen=1,
+            p=0.02, seed=4,
+        )
+    ]
+    batches = [queries[start:start + 4] for start in range(0, 160, 4)]
+
+    def serve(use_reference: bool):
+        dealt = []
+        with make_service(
+            path_a, workers=1, cache_size=8, hot_pairs=3
+        ) as service:
+            reference = ReferenceTracker()
+            tracker = service._hot
+            observe, top = tracker.observe, tracker.top
+
+            def observe_both(key):
+                observe(key)
+                reference.observe(key)
+
+            def spy(k):
+                cached = frozenset(service._cache._entries)
+                expected = reference.top(k, cached.__contains__)
+                chosen = expected if use_reference else top(k)
+                dealt.append((chosen, expected))
+                return chosen
+
+            tracker.observe, tracker.top = observe_both, spy
+            for number, batch in enumerate(batches):
+                if number == len(batches) // 2:
+                    service.swap_snapshot(path_b)
+                assert service.run(batch).error_count == 0
+            return dealt, service.cache_stats(), service.precomputed_total
+
+    dealt, stats, precomputed = serve(use_reference=False)
+    assert len(dealt) == len(batches)
+    assert all(chosen == expected for chosen, expected in dealt)
+    assert sum(len(chosen) for chosen, _ in dealt) > len(batches)
+    assert stats["evictions"] > 0 and stats["stale_drops"] > 0
+    assert precomputed > 0
+    _, reference_stats, reference_precomputed = serve(use_reference=True)
+    assert stats == reference_stats
+    assert precomputed == reference_precomputed

@@ -109,9 +109,9 @@ class Script:
         self.tmp_path = tmp_path
         self.rng = random.Random(seed)
         self.paths = [self.save()]
-        engine = load_snapshot(self.paths[0])
-        engine.index.build_views()
-        self.traps, queries = trap_queries(engine)
+        with load_snapshot(self.paths[0]) as engine:
+            engine.index.build_views()
+            self.traps, queries = trap_queries(engine)
         assert self.traps, "the graph has no non-tree edge inside a tree"
         self.batch = queries + list(
             generate_queries(self.graph, 24, f_gen=2, p=0.05, seed=seed)
@@ -137,7 +137,8 @@ class Script:
 
 
 def expected_answers(path, batch) -> list[str]:
-    return hexes(load_snapshot(path).query_many(batch))
+    with load_snapshot(path) as engine:
+        return hexes(engine.query_many(batch))
 
 
 class TestApplyDelta:
@@ -146,53 +147,60 @@ class TestApplyDelta:
     @pytest.mark.parametrize("seed", [3, 8, 21])
     def test_k_deltas_match_a_fresh_load(self, tmp_path, seed):
         script = Script(tmp_path, seed)
-        engine = load_snapshot(script.paths[0])
-        engine.index.build_views()
-        batch = script.batch
-        # Warm every cache the kernel keeps, with the old weights.
-        assert hexes(engine.query_many(batch)) == expected_answers(
-            script.paths[0], batch
-        )
-        kernel = engine._batch_kernel()
-        warmed = set(kernel._repair_rows_cache)
-        untouched_hit = False
-        for _ in range(3):
-            script.step()
-            old, new = script.paths[-2], script.paths[-1]
-            with_old, with_new = SnapshotReader(old), SnapshotReader(new)
-            try:
-                edge_ids, ranks = snapshot_delta(with_old, with_new)
-            finally:
-                with_old.close()
-                with_new.close()
-            ends = [engine.frozen.endpoints(edge_id) for edge_id in edge_ids]
-            untouched_hit |= any(
-                rank not in ranks
-                and any(
-                    tail in engine.index.trees[rank].pos_of
-                    and head in engine.index.trees[rank].pos_of
-                    for tail, head in ends
+        with load_snapshot(script.paths[0]) as engine:
+            engine.index.build_views()
+            batch = script.batch
+            # Warm every cache the kernel keeps, with the old weights.
+            assert hexes(engine.query_many(batch)) == expected_answers(
+                script.paths[0], batch
+            )
+            kernel = engine._batch_kernel()
+            warmed = set(kernel._repair_rows_cache)
+            untouched_hit = False
+            for _ in range(3):
+                script.step()
+                old, new = script.paths[-2], script.paths[-1]
+                with_old = SnapshotReader(old)
+                with_new = SnapshotReader(new)
+                try:
+                    edge_ids, ranks = snapshot_delta(with_old, with_new)
+                finally:
+                    with_old.close()
+                    with_new.close()
+                ends = [
+                    engine.frozen.endpoints(edge_id) for edge_id in edge_ids
+                ]
+                untouched_hit |= any(
+                    rank not in ranks
+                    and any(
+                        tail in engine.index.trees[rank].pos_of
+                        and head in engine.index.trees[rank].pos_of
+                        for tail, head in ends
+                    )
+                    for rank in warmed
                 )
-                for rank in warmed
-            )
-            apply_snapshot_delta(engine, new, edge_ids, ranks)
-            fresh = load_snapshot(new)
-            assert hexes(engine.query_many(batch)) == hexes(
-                fresh.query_many(batch)
-            )
-            assert hexes(
-                engine.query(q.source, q.target, q.failed) for q in batch
-            ) == hexes(fresh.query(q.source, q.target, q.failed) for q in batch)
-            # Every repair row still cached is the one a fresh kernel
-            # builds from the new file.
-            rebuilt = DisoBatchKernel(fresh.frozen, fresh.index)
-            for rank, rows in kernel._repair_rows_cache.items():
-                assert rows == rebuilt._repair_rows(rank), rank
-            assert engine.index.inverted == fresh.index.inverted
-            warmed |= set(kernel._repair_rows_cache)
-        # The script did reach the trap: a changed edge inside a cached
-        # tree that no delta rebuilt.
-        assert untouched_hit
+                apply_snapshot_delta(engine, new, edge_ids, ranks)
+                with load_snapshot(new) as fresh:
+                    assert hexes(engine.query_many(batch)) == hexes(
+                        fresh.query_many(batch)
+                    )
+                    assert hexes(
+                        engine.query(q.source, q.target, q.failed)
+                        for q in batch
+                    ) == hexes(
+                        fresh.query(q.source, q.target, q.failed)
+                        for q in batch
+                    )
+                    # Every repair row still cached is the one a fresh
+                    # kernel builds from the new file.
+                    rebuilt = DisoBatchKernel(fresh.frozen, fresh.index)
+                    for rank, rows in kernel._repair_rows_cache.items():
+                        assert rows == rebuilt._repair_rows(rank), rank
+                    assert engine.index.inverted == fresh.index.inverted
+                warmed |= set(kernel._repair_rows_cache)
+            # The script did reach the trap: a changed edge inside a
+            # cached tree that no delta rebuilt.
+            assert untouched_hit
 
     def test_shape_change_has_no_delta(self, tmp_path):
         script = Script(tmp_path, 5)
@@ -218,9 +226,9 @@ class TestDeltaSwap:
         caplog.set_level(logging.INFO, logger=LOGGER)
         with make_service(script.paths[0], workers=2, cache_size=64) as svc:
             pids = [handle.pid for handle in svc._pool]
-            assert svc.run(batch).answers == load_snapshot(
-                script.paths[0]
-            ).query_many(batch)
+            assert hexes(svc.run(batch).answers) == expected_answers(
+                script.paths[0], batch
+            )
             for number in range(1, 4):
                 script.step()
                 epoch = svc.swap_snapshot(script.paths[-1])

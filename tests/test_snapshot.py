@@ -12,10 +12,12 @@ not copies) plus byte-identical re-saves.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -61,7 +63,7 @@ def _assert_snapshot_parity(oracle, graph, seed):
                 got = loaded.query(source, target, failed)
                 assert got == expected, (source, target, failed)
         finally:
-            loaded._snapshot_reader.close()
+            loaded.close()
 
 
 class TestSnapshotParity:
@@ -96,7 +98,7 @@ class TestSnapshotParity:
             assert loaded.query(5, 5) == 0.0
             with pytest.raises(Exception):
                 loaded.query(10**9, 5)
-            loaded._snapshot_reader.close()
+            loaded.close()
 
 
 class TestSnapshotContainer:
@@ -111,7 +113,7 @@ class TestSnapshotContainer:
         loaded = load_snapshot(first)
         second = save_snapshot(loaded, tmp_path / "b.dsosnap")
         assert first.read_bytes() == second.read_bytes()
-        loaded._snapshot_reader.close()
+        loaded.close()
 
     def test_sections_are_zero_copy_views(self, tmp_path):
         frozen = DISO(random_graph(4), tau=3).freeze()
@@ -130,6 +132,44 @@ class TestSnapshotContainer:
             assert storage.obj is reader._mmap
         reader.close()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda g: DISO(g, tau=3), id="DISO"),
+            pytest.param(lambda g: ADISO(g, tau=3, seed=1), id="ADISO"),
+        ],
+    )
+    def test_close_releases_the_mapping(self, tmp_path, build):
+        graph = random_graph(7)
+        frozen = build(graph).freeze()
+        path = save_snapshot(frozen, tmp_path / "o.dsosnap")
+
+        def resource_warnings(close: bool) -> list:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                engine = load_snapshot(path)
+                assert engine.query(0, 7) == frozen.query(0, 7)
+                if close:
+                    engine.close()
+                    engine.close()  # idempotent
+                del engine
+                gc.collect()
+            return [
+                warning for warning in caught
+                if issubclass(warning.category, ResourceWarning)
+            ]
+
+        assert resource_warnings(close=True) == []
+        # The probe does see the leak that close() prevents.
+        assert resource_warnings(close=False)
+        with load_snapshot(path) as engine:
+            assert engine.query(0, 7) == frozen.query(0, 7)
+        assert engine._snapshot_reader is None
+        # A freeze()d engine maps nothing: close() is a no-op.
+        answer = frozen.query(0, 7)
+        frozen.close()
+        assert frozen.query(0, 7) == answer
+
     def test_info_reads_header_without_restoring(self, tmp_path):
         frozen = DISO(random_graph(5), tau=3).freeze()
         path = save_snapshot(frozen, tmp_path / "o.dsosnap")
@@ -145,7 +185,7 @@ class TestSnapshotContainer:
         path = save_snapshot(frozen, tmp_path / "o.dsosnap")
         loaded = load_snapshot(path, verify=False)
         assert loaded.query(0, 7) == frozen.query(0, 7)
-        loaded._snapshot_reader.close()
+        loaded.close()
 
 
 class TestSnapshotCorruption:

@@ -27,13 +27,15 @@ Query-indexed (fire just before answering the worker's Nth query):
 Batch-indexed (fire on the worker's Nth completed batch):
 
 ``"drop_result"``
-    Compute the batch but never send the result.  The worker stays
-    responsive, so a deadline ping gets a pong and the dispatcher
-    re-sends the outstanding chunks instead of replacing the worker.
+    Compute the batch but deliver nothing: no ring write, no reply.
+    The worker stays responsive, so a deadline ping gets a pong and the
+    dispatcher re-sends the outstanding chunks instead of replacing
+    the worker.
 ``"defer_result"``
-    Withhold the result and flush it when a batch from a *different
-    epoch* arrives — a deterministic stale-epoch delivery, exercising
-    the dispatcher's epoch fence.
+    Withhold the whole delivery (ring write and reply) and perform it
+    when a batch from a *different epoch* arrives — a deterministic
+    stale-epoch delivery and late ring write, exercising the
+    dispatcher's epoch fence.
 ``"error_reply"``
     Reply ``("error", ...)`` instead of a result — the dispatcher's
     protocol-failure raise path.
@@ -228,15 +230,22 @@ class FaultInjector:
         epoch = batch_id[0]
         still_deferred = []
         for stashed_epoch, reply in self._deferred:
-            if stashed_epoch != epoch:
-                conn.send(reply)
-            else:
+            if stashed_epoch == epoch:
                 still_deferred.append((stashed_epoch, reply))
+            elif callable(reply):
+                reply()
+            else:
+                conn.send(reply)
         self._deferred = still_deferred
 
-    def outgoing_reply(self, batch_id: tuple[int, int],
-                       reply: tuple) -> tuple | None:
-        """Filter a result reply; return the message to send or ``None``."""
+    def outgoing_reply(self, batch_id: tuple[int, int], reply):
+        """Filter a result reply; return what to deliver or ``None``.
+
+        ``reply`` is the message to send, or a callable that delivers
+        it (the worker's ring write plus its reply); a deferred one is
+        called when :meth:`on_batch` flushes it.  An ``error_reply``
+        spec returns the error message to send instead.
+        """
         spec = self._arm(BATCH_KINDS, self.batches_seen)
         if spec is None:
             return reply

@@ -8,16 +8,20 @@ per-query error sentinel :data:`repro.serving.worker.QUERY_ERROR` is
 NaN, so even failures fit a float plane), which makes them a perfect
 fit for a preallocated ``multiprocessing.shared_memory`` segment:
 workers write answers and latencies in place at their chunk's slot and
-the pipe carries only a tiny completion record.
+the pipe carries only a tiny completion record, or nothing at all for a
+hot-pair refresh chunk, whose stamp the dispatcher reads directly.
 
-Ring layout (DESIGN.md §11)
----------------------------
-One ring is created per ``run()`` with exactly one slot per dispatched
-chunk — slot ``s`` belongs to the chunk with sequence number ``s`` for
-the whole run, so slots are never reassigned and two workers can only
-ever race on a slot when re-dispatch hands the *same chunk* to a
-replacement, in which case both write identical bytes (answers are
-deterministic).  Each slot is ``4 + 2 * capacity`` float64 lanes::
+Ring layout (DESIGN.md §11.1)
+-----------------------------
+One ring serves a pool for as long as it runs: the dispatcher creates
+it in ``start()`` and every run reuses it.  Slot ``s`` belongs to the
+chunk with sequence number ``s`` of whichever run (or hot-pair
+refresh) is in flight, and chunk ``s`` always goes to worker slot
+``s mod workers``, so two processes can only race on a slot when
+re-dispatch hands the *same chunk* to a replacement, in which case
+both write identical bytes (answers are deterministic).  The first
+``workers`` slots are reserved for the hot-pair refresh, runs use the
+rest.  Each slot is ``4 + 2 * capacity`` float64 lanes::
 
     [epoch, seq, count, busy_seconds,
      answers[0..capacity), latencies[0..capacity)]
@@ -25,25 +29,33 @@ deterministic).  Each slot is ``4 + 2 * capacity`` float64 lanes::
 Writers fill the payload lanes first and stamp ``(epoch, seq, count)``
 last; readers validate the stamp, copy the payload, and validate the
 stamp again, so a half-written or stale slot reads as "no result yet"
-(``None``) instead of corrupt data.  A fresh segment is zero-filled, and
-epochs start at 1, so an untouched slot can never validate.
+(``None``) instead of corrupt data.  Every run and refresh has its own
+epoch, so a slot still stamped by an earlier one never validates.  A
+fresh segment is zero-filled, and epochs start at 1, so an untouched
+slot cannot validate either.
+
+Geometry only grows: when a run needs more slots or a larger capacity
+than the ring has, the dispatcher replaces it with one that
+:meth:`ResultRing.covers` both the old geometry and the new need.
 
 Lifecycle
 ---------
-The dispatcher creates the ring (``create``), passes its ``spec()``
-inside each batch message, and closes **and unlinks** it when the run
-finishes — also on every raise path, so an aborted run leaks nothing.
-Workers ``attach`` lazily and only ever ``close``; a worker that dies
-without closing (an injected crash) merely drops its mapping — the
-dispatcher's unlink already removed the name, and the kernel frees the
-pages with the process.  Attached segments are deregistered from
+The dispatcher creates the ring (``create``) and passes its ``spec()``
+to each worker at spawn and inside each batch message; a worker
+attaches once and re-attaches only when the name changes.  The
+dispatcher closes **and unlinks** the ring on ``stop()``, and replaces
+it when it grows and after an aborted run, so a straggler's late write
+lands in the retired mapping.  Workers only ever ``close``; a worker
+that dies without closing (an injected crash) merely drops its
+mapping: the kernel frees the pages once the name is unlinked and the
+last mapping is gone.  Attached segments are deregistered from
 ``multiprocessing.resource_tracker`` so a worker exit does not destroy
 a segment the dispatcher still owns (Python < 3.13 has no
 ``track=False``).
 
-Everything here is stdlib-only: the serving plane must work on boxes
-without NumPy, so the payload crosses via ``memoryview.cast("d")`` and
-``array("d", ...)``.
+Workers copy answers in through ``array("d", ...)`` and the dispatcher
+copies them out through typed memoryviews: no NumPy call sits on
+either side of the plane.
 """
 
 from __future__ import annotations
@@ -91,9 +103,9 @@ class ResultRing:
     shm:
         The mapped segment.
     slots:
-        Number of slots (one per chunk of the owning ``run()``).
+        Number of slots (refresh slots plus the largest run's chunks).
     capacity:
-        Maximum queries per slot (the run's chunk size).
+        Maximum queries per slot (the largest chunk size seen).
     owner:
         ``True`` in the creating (dispatcher) process — ``destroy()``
         unlinks; attached rings only ever close.
@@ -144,6 +156,10 @@ class ResultRing:
         name, slots, capacity = spec
         shm = _attach_untracked(name)
         return cls(shm, slots, capacity, owner=False)
+
+    def covers(self, slots: int, capacity: int) -> bool:
+        """Whether this ring has at least ``slots`` x ``capacity``."""
+        return slots <= self.slots and capacity <= self.capacity
 
     def spec(self) -> tuple[str, int, int]:
         """The picklable ``(name, slots, capacity)`` attach handle."""

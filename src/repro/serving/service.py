@@ -27,15 +27,16 @@ per-run:
   pong (alive, but a result was lost) its chunks are re-sent; if it
   stays silent past ``ping_timeout`` (hung or wedged) it is replaced.
 
-Result plane (v3, spec in DESIGN.md §11): answers travel through a
-per-run :class:`~repro.serving.ring.ResultRing` — a preallocated
-``multiprocessing.shared_memory`` float64 ring with one slot per chunk
-— and the pipe carries only small epoch-tagged completion records, so
-the dispatcher stops paying pickle cost proportional to the answer
-volume.  Where no usable shared memory exists the run falls back to
-whole answers on the pipe, per run (ring creation fails; logged as a
-warning) or per batch (a worker cannot attach to or write the ring),
-without losing answers; :attr:`ServeReport.result_plane` says which.
+Result plane (v3, spec in DESIGN.md §11): answers travel through one
+:class:`~repro.serving.ring.ResultRing` per pool — a preallocated
+``multiprocessing.shared_memory`` float64 ring created in ``start()``
+and reused by every run — and the pipe carries only small epoch-tagged
+completion records, so the dispatcher stops paying pickle cost
+proportional to the answer volume.  Where no usable shared memory
+exists the pool falls back to whole answers on the pipe, per pool (ring
+creation fails; logged as a warning) or per batch (a worker cannot
+attach to or write the ring), without losing answers;
+:attr:`ServeReport.result_plane` says which.
 
 Caching and admission (v4, spec in DESIGN.md §12): with
 ``cache_size > 0`` the dispatcher keeps a
@@ -103,6 +104,9 @@ _READY_TIMEOUT = 60.0
 _POLL_SECONDS = 0.5
 #: Floor on the poll interval so tiny test timeouts cannot spin-wait.
 _MIN_POLL_SECONDS = 0.02
+#: Chunks the default chunk size deals each worker per run; a fresh ring
+#: has run slots for that many.
+_CHUNKS_PER_WORKER = 4
 
 
 @dataclass
@@ -373,18 +377,21 @@ def _start_pools(services: Sequence["QueryService"]) -> None:
                 continue
             handles: list[_WorkerHandle] = []
             launched.append((service, handles))
+            # The ring first: every worker maps it before reporting ready.
+            service._open_ring("restart" if service._was_started else "start")
             for index in range(service.workers):
                 handles.append(service._launch(index))
         for service, handles in launched:
             for handle in handles:
                 service._await_ready(handle)
             service._pool = handles
-            service._started = True
+            service._started = service._was_started = True
     except BaseException:
         for service, handles in launched:
             service._pool = []
             service._started = False
             _reap(handles)
+            service._close_ring()
         raise
 
 
@@ -481,10 +488,13 @@ class QueryService:
                 "hot-pair precomputation stores its answers in the result "
                 "cache; pass cache_size > 0 alongside hot_pairs"
             )
-        #: The current run's ring; ``None`` between runs / on the pipe
-        #: fallback.  Replacement/resend paths read it to rebuild batch
-        #: messages mid-run.
+        #: The pool's result ring while it runs; ``None`` when stopped
+        #: or on the pipe fallback.  Every batch message and every
+        #: spawned worker carries its spec.
         self._ring: ResultRing | None = None
+        #: The run epoch of the hot-pair refresh dealt over the ring:
+        #: its chunks are *quiet*, harvested from their stamps.
+        self._quiet_epoch: int | None = None
         #: A mapping of the served file while the pool runs, the base
         #: ``swap_snapshot`` diffs a new file against.
         self._reader: SnapshotReader | None = None
@@ -506,6 +516,8 @@ class QueryService:
         self._pool: list[_WorkerHandle] = []
         self._restart_counts: list[int] = [0] * workers
         self._started = False
+        #: Whether the pool ever started (a later start is a restart).
+        self._was_started = False
         #: Monotonic run counter; stamped into every batch id so the
         #: dispatcher can fence out results from aborted past runs.
         self._epoch = 0
@@ -585,6 +597,7 @@ class QueryService:
             handle.conn.close()
         self._pool = []
         self._started = False
+        self._close_ring()
 
     def __enter__(self) -> "QueryService":
         return self.start()
@@ -603,6 +616,7 @@ class QueryService:
                 index,
                 self.fault_plan,
                 self._restart_counts[index],
+                self._ring.spec() if self._ring is not None else None,
             ),
             daemon=True,
             name=f"dso-worker-{index}",
@@ -642,6 +656,45 @@ class QueryService:
         handle.pid = info.get("pid", handle.pid)
         handle.last_progress = time.perf_counter()
         return handle
+
+    def _open_ring(
+        self, reason: str, slots: int = 0, capacity: int = 0
+    ) -> None:
+        """(Re)create the pool's ring; unlink the one it replaces.
+
+        The new ring covers the old one's geometry and ``slots`` x
+        ``capacity``, and at least the refresh slots plus
+        ``_CHUNKS_PER_WORKER`` run chunks per worker, so geometry
+        only grows.  A worker still mapping the old ring keeps writing
+        there harmlessly: its name is gone and no read looks at it.
+        Where no ring can be created the pool serves over the pipe
+        until its next start.
+        """
+        old, self._ring = self._ring, None
+        if old is not None:
+            slots = max(slots, old.slots)
+            capacity = max(capacity, old.capacity)
+            old.destroy()
+        slots = max(slots, self.workers * (1 + _CHUNKS_PER_WORKER))
+        capacity = max(capacity, math.ceil(self.hot_pairs / self.workers), 1)
+        try:
+            self._ring = ResultRing.create(slots, capacity)
+        except (OSError, ValueError) as exc:
+            logger.warning(
+                "result ring unavailable (%s); the pool falls back to the "
+                "pipe", exc,
+            )
+            return
+        logger.info(
+            "result ring %s: %d slots x %d answers (%s)",
+            self._ring.name, slots, capacity, reason,
+        )
+
+    def _close_ring(self) -> None:
+        """Unlink the pool's ring, if it has one."""
+        ring, self._ring = self._ring, None
+        if ring is not None:
+            ring.destroy()
 
     def _spawn(self, index: int) -> _WorkerHandle:
         """Launch one worker and wait until it is ready."""
@@ -817,22 +870,15 @@ class QueryService:
 
         size = chunk_size or self.chunk_size
         if size is None:
-            size = (
-                max(1, math.ceil(n_dispatch / (self.workers * 4)))
-                if n_dispatch
-                else 1
-            )
-        ring: ResultRing | None = None
-        if n_dispatch:
-            try:
-                ring = ResultRing.create(math.ceil(n_dispatch / size), size)
-            except (OSError, ValueError) as exc:
-                # No usable shared memory: this run's answers ride the
-                # pipe instead.
-                logger.warning(
-                    "result ring unavailable (%s); run falls back to the "
-                    "pipe", exc,
-                )
+            per_run = self.workers * _CHUNKS_PER_WORKER
+            size = max(1, math.ceil(n_dispatch / per_run)) if n_dispatch else 1
+        ring = self._ring if n_dispatch else None
+        if ring is not None:
+            # Run chunks take the slots after the refresh's.
+            slots = self.workers + math.ceil(n_dispatch / size)
+            if not ring.covers(slots, size):
+                self._open_ring("grow", slots, size)
+                ring = self._ring
         if ring is not None:
             # Typed result buffers: per-batch harvesting memcpys ring
             # lanes straight into these (ring.read_into) and the floats
@@ -849,25 +895,17 @@ class QueryService:
             answer_buf = latency_buf = sink = None
             answers = [float("nan")] * n_dispatch
             latencies = [0.0] * n_dispatch
-        self._ring = ring
-        try:
-            if n_dispatch:
-                pending = self._deal(epoch, compact_wire, size, stats)
-                self._collect(
-                    epoch, pending, answers, latencies, errors, stats,
-                    metrics, sink,
-                )
-            if ring is not None:
-                answers[:] = answer_buf.tolist()
-                latencies[:] = latency_buf.tolist()
-        finally:
-            # The ring lives exactly one run: unlink it even on abort so
-            # no segment can leak.  A straggling worker that still maps
-            # the old segment only delays the kernel freeing the pages;
-            # the name is gone and the next run gets a fresh ring.
-            self._ring = None
-            if ring is not None:
-                ring.destroy()
+        if n_dispatch:
+            pending = self._deal(
+                epoch, compact_wire, size, stats, first=self.workers
+            )
+            self._collect(
+                epoch, pending, answers, latencies, errors, stats, metrics,
+                sink,
+            )
+        if ring is not None:
+            answers[:] = answer_buf.tolist()
+            latencies[:] = latency_buf.tolist()
 
         if not identity:
             # Scatter the compact results back to input positions, fan
@@ -1084,9 +1122,11 @@ class QueryService:
         the cache, flagged *precomputed* and stamped with the snapshot
         epoch current at send time; hits on them are reported
         separately (``ServeReport.precomputed_hits``) so the benefit of
-        the refresh is measurable.  Runs over the pipe result plane
-        (the batches are tiny; a ring would cost more than it saves).
-        Called automatically after each ``run()`` when
+        the refresh is measurable.  The chunks go to the ring's
+        dedicated refresh slots and are *quiet*: a worker stamps its
+        slot and sends no reply, so the harvest reads the stamps and
+        waits, through the collect loop, only for a slot not yet
+        stamped.  Called automatically after each ``run()`` when
         ``hot_pairs > 0``; safe to call manually between runs.
 
         Returns the number of pairs dispatched.
@@ -1108,6 +1148,12 @@ class QueryService:
             for handle in self._pool
         ]
         size = max(1, math.ceil(len(wire) / self.workers))
+        if self._ring is not None and not self._ring.covers(
+            self.workers, size
+        ):
+            self._open_ring("grow", capacity=size)
+        if self._ring is not None:
+            self._quiet_epoch = self._epoch
         pending = self._deal(self._epoch, wire, size, stats)
         self._refresh = _PendingRefresh(
             self._epoch, self._snapshot_epoch, hot_keys, pending, stats
@@ -1125,16 +1171,20 @@ class QueryService:
         if refresh is None:
             return
         count = len(refresh.keys)
-        answers = [float("nan")] * count
+        answers = array("d", [float("nan")]) * count
+        sink = (memoryview(answers), memoryview(array("d", [0.0]) * count))
         errors: list[str | None] = [None] * count
         metrics = {
             "dispatch_seconds": 0.0, "pipe_bytes": 0, "result_batches": 0,
         }
         self._collect(
-            refresh.epoch, refresh.pending, answers, [0.0] * count,
-            errors, refresh.stats, metrics,
+            refresh.epoch, refresh.pending, None, None, errors,
+            refresh.stats, metrics, sink,
+            quiet=refresh.epoch == self._quiet_epoch,
         )
-        for key, answer, message in zip(refresh.keys, answers, errors):
+        for key, answer, message in zip(
+            refresh.keys, answers.tolist(), errors
+        ):
             if message is None and self._cache.put(
                 key, answer, refresh.snapshot_epoch, precomputed=True
             ):
@@ -1160,20 +1210,25 @@ class QueryService:
         return self._admission.stats()
 
     def _batch_message(self, batch_id, chunk) -> tuple:
-        """The wire form of one chunk, carrying the run's ring spec."""
+        """The wire form of one chunk, carrying the pool's ring spec."""
         if self._ring is None:
             return ("batch", batch_id, chunk)
-        return ("batch", batch_id, chunk, self._ring.spec())
+        quiet = batch_id[0] == self._quiet_epoch
+        return ("batch", batch_id, chunk, self._ring.spec(), quiet)
 
-    def _deal(self, epoch, wire, size, stats) -> dict[tuple[int, int], int]:
+    def _deal(
+        self, epoch, wire, size, stats, first: int = 0
+    ) -> dict[tuple[int, int], int]:
         """Send one epoch's chunks round-robin; return the pending map.
 
-        The map (batch id -> worker slot) is what :meth:`_collect`
-        waits on.  On any raise every in-flight chunk is forgotten.
+        Chunk ``n`` gets sequence number (and ring slot) ``first + n``
+        and goes to worker ``(first + n) % workers``.  The map (batch
+        id -> worker slot) is what :meth:`_collect` waits on.  On any
+        raise every in-flight chunk is forgotten.
         """
         pending: dict[tuple[int, int], int] = {}
         try:
-            for seq, start in enumerate(range(0, len(wire), size)):
+            for seq, start in enumerate(range(0, len(wire), size), first):
                 chunk = wire[start : start + size]
                 slot = seq % self.workers
                 handle = self._pool[slot]
@@ -1194,19 +1249,33 @@ class QueryService:
 
     def _collect(
         self, epoch, pending, answers, latencies, errors, stats, metrics,
-        sink=None,
+        sink=None, quiet=False,
     ) -> None:
         """Collect ``epoch``'s results until none are pending.
 
-        On any raise every in-flight chunk is forgotten, so an aborted
-        collect never poisons the next dispatch.
+        ``quiet`` chunks (a refresh over the ring) send no completion
+        record.  The collect first takes every chunk whose slot is
+        stamped; a worker still holding one then gets a *wake* ping,
+        whose pong trails every chunk sent before it, so at the pong
+        each of that worker's chunks is stamped or lost.  The loop
+        ends only once every wake pong is read, so none is left in a
+        pipe.  Pipe replies (a failed ring write, errored queries),
+        deaths and deadlines take the usual paths.  On any raise every
+        in-flight chunk is forgotten and the ring is replaced, so an
+        aborted collect never poisons the next dispatch.
         """
+        #: Worker slot -> the handle a wake ping went to, pong unread.
+        wake: dict[int, _WorkerHandle] = {}
         try:
-            while pending:
+            if quiet:
+                self._take_stamped(epoch, pending, errors, stats, sink)
+            while pending or wake:
+                if quiet:
+                    self._wake(pending, wake, stats)
                 conns = {
                     handle.conn: handle
                     for handle in self._pool
-                    if handle.outstanding
+                    if handle.outstanding or handle.index in wake
                 }
                 ready = connection_wait(
                     list(conns), timeout=self._poll_seconds
@@ -1233,10 +1302,16 @@ class QueryService:
                             f"worker {handle.index}: {message[2]}"
                         )
                     if kind == "pong":
+                        woken = wake.pop(handle.index, None) is handle
+                        if quiet:
+                            # The pong trails every chunk sent before the
+                            # ping, so any that will be stamped now is.
+                            self._take_stamped(
+                                epoch, pending, errors, stats, sink
+                            )
                         if (
-                            handle.ping_sent_at is not None
-                            and handle.outstanding
-                        ):
+                            handle.ping_sent_at is not None or woken
+                        ) and handle.outstanding:
                             # Alive but its results never arrived: re-send.
                             self._resend_outstanding(handle)
                         handle.ping_sent_at = None
@@ -1247,9 +1322,8 @@ class QueryService:
                     batch_id = message[1]
                     # The epoch fence comes before any ring read: a stale
                     # completion (deferred from an aborted run) never even
-                    # touches the current ring, and whatever the stale
-                    # worker wrote went to the *previous* run's ring, which
-                    # is already unlinked.
+                    # touches the ring, and any slot a stale worker wrote
+                    # carries its old epoch, which no read accepts.
                     if batch_id[0] != epoch:
                         continue  # stale epoch (aborted past run): drop
                     if batch_id not in handle.outstanding:
@@ -1287,16 +1361,10 @@ class QueryService:
                         else:
                             answers[start : start + count] = chunk_answers
                             latencies[start : start + count] = chunk_latencies
-                    handle.outstanding.pop(batch_id)
-                    pending.pop(batch_id, None)
-                    handle.last_progress = now
-                    handle.ping_sent_at = None
-                    for position, message_text in chunk_errors:
-                        errors[start + position] = message_text
-                    slot_stats = stats[handle.index]
-                    slot_stats.queries += count
-                    slot_stats.batches += 1
-                    slot_stats.busy_seconds += busy
+                    self._accept(
+                        handle, batch_id, count, busy, chunk_errors,
+                        pending, errors, stats,
+                    )
                     metrics["dispatch_seconds"] += time.perf_counter() - tick
                     metrics["pipe_bytes"] += len(payload_bytes)
                     metrics["result_batches"] += 1
@@ -1325,14 +1393,76 @@ class QueryService:
             self._forget_in_flight()
             raise
 
+    @staticmethod
+    def _accept(
+        handle, batch_id, count, busy, chunk_errors, pending, errors, stats
+    ) -> None:
+        """Book one delivered chunk: clear it, record errors and stats."""
+        start, _ = handle.outstanding.pop(batch_id)
+        pending.pop(batch_id, None)
+        handle.last_progress = time.perf_counter()
+        handle.ping_sent_at = None
+        for position, message_text in chunk_errors:
+            errors[start + position] = message_text
+        slot_stats = stats[handle.index]
+        slot_stats.queries += count
+        slot_stats.batches += 1
+        slot_stats.busy_seconds += busy
+
+    def _wake(self, pending, wake, stats) -> None:
+        """Ping each worker holding a pending quiet chunk, once.
+
+        Drops the wake entry of a worker replaced since its ping: the
+        pong will never come, and the replacement gets its own.
+        """
+        for index, handle in list(wake.items()):
+            if self._pool[index] is not handle:
+                del wake[index]
+        for index in sorted(set(pending.values())):
+            handle = self._pool[index]
+            if index in wake or not handle.outstanding:
+                continue
+            try:
+                handle.conn.send(("ping",))
+            except (BrokenPipeError, OSError):
+                self._check_restart_budget(stats)
+                self._replace_and_requeue(handle, pending, stats)
+            else:
+                wake[index] = handle
+
+    def _take_stamped(self, epoch, pending, errors, stats, sink) -> None:
+        """Accept every pending quiet chunk whose ring slot is stamped."""
+        ring = self._ring
+        if ring is None:
+            return
+        for batch_id, index in list(pending.items()):
+            handle = self._pool[index]
+            entry = handle.outstanding.get(batch_id)
+            if entry is None:
+                continue
+            start, chunk = entry
+            seq = batch_id[1]
+            busy = ring.read_into(
+                seq, epoch, seq, len(chunk), sink[0], sink[1], start
+            )
+            if busy is not None:
+                self._accept(
+                    handle, batch_id, len(chunk), busy, (), pending,
+                    errors, stats,
+                )
+
     def _forget_in_flight(self) -> None:
         """Leave the pool consistent after an abort: drop every chunk.
 
-        The epoch fence makes any late results for them inert.
+        The epoch fence makes any late results for them inert, and a
+        fresh ring takes the late writes out of the next run's way: a
+        straggler still mapping the old one writes there.
         """
         for handle in self._pool:
             handle.outstanding.clear()
             handle.ping_sent_at = None
+        if self._started and self._ring is not None:
+            self._open_ring("abort")
 
     def _resend_outstanding(self, handle: _WorkerHandle) -> None:
         """Re-send a responsive worker's outstanding chunks (lost results)."""

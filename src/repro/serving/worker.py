@@ -12,26 +12,30 @@ Message protocol v2 (tuples, first element is the kind; the full
 specification lives in DESIGN.md §8, the shared-memory result plane in
 §11):
 
-``("batch", batch_id, queries[, ring_spec])``
+``("batch", batch_id, queries[, ring_spec, quiet])``
     ``batch_id`` is an ``(epoch, seq)`` pair stamped by the dispatcher;
     the worker treats ``epoch`` as opaque and echoes the id back.
     Answer ``queries`` (a list of ``(s, t, failed)`` with ``failed`` a
-    tuple of edge pairs or ``None``).  When ``ring_spec`` is absent or
-    ``None`` (the ``"pipe"`` result plane), reply ``("result",
-    batch_id, worker_id, answers, latencies, busy_seconds, errors)``.
-    When ``ring_spec`` is a :meth:`~repro.serving.ring.ResultRing.spec`
-    triple (the default ``"shm"`` plane), write ``answers`` and
-    ``latencies`` into ring slot ``seq`` — stamped with ``(epoch, seq,
-    count)`` so the dispatcher can fence stale writes — and reply only
-    the completion record ``("result_shm", batch_id, worker_id,
-    busy_seconds, errors)``; if the ring cannot be attached or written
-    (platform without ``/dev/shm``, ring already gone) the worker falls
-    back to the full ``("result", ...)`` reply for that batch.  Either
-    way a query that raises does **not** kill the worker: its answer
-    slot carries the :data:`QUERY_ERROR` sentinel (NaN, which travels
-    the float plane unchanged) and ``errors`` lists ``(position,
-    "ExcType: message")`` for every failed position — the per-query
-    error channel.
+    tuple of edge pairs or ``None``).  When ``ring_spec`` is absent
+    (the pipe fallback), reply ``("result", batch_id, worker_id,
+    answers, latencies, busy_seconds, errors)``.  When ``ring_spec`` is
+    a :meth:`~repro.serving.ring.ResultRing.spec` triple, write
+    ``answers`` and ``latencies`` into ring slot ``seq`` — stamped with
+    ``(epoch, seq, count)`` so the dispatcher can fence stale writes —
+    and reply only the completion record ``("result_shm", batch_id,
+    worker_id, busy_seconds, errors)``.  A ``quiet`` batch (a hot-pair
+    refresh chunk) gets no reply at all once its slot is stamped: the
+    dispatcher harvests it by reading the stamp, so no completion
+    record piles up in a pipe that nothing reads.  A quiet batch with a
+    failed query is not written to the ring: its errors travel in the
+    full ``("result", ...)`` reply.  If the ring cannot be attached or
+    written (platform without ``/dev/shm``, ring already gone) the
+    worker falls back to the full ``("result", ...)`` reply for that
+    batch.  Either way a query that raises does **not** kill the
+    worker: its answer slot carries the :data:`QUERY_ERROR` sentinel
+    (NaN, which travels the float plane unchanged) and ``errors`` lists
+    ``(position, "ExcType: message")`` for every failed position — the
+    per-query error channel.
 ``("delta", path, edge_ids, ranks)``
     Become the engine of snapshot ``path`` in place: the dispatcher
     sends this instead of a restart when ``path`` differs from the
@@ -57,11 +61,13 @@ dispatcher treats as a protocol failure and raises on.
 ``worker_main`` optionally carries a
 :class:`~repro.serving.faults.FaultPlan` plus the slot's spawn
 ``generation`` so the fault-injection rig can misbehave
-deterministically (see :mod:`repro.serving.faults`).
+deterministically (see :mod:`repro.serving.faults`), and the pool's
+ring spec, which the worker attaches before it reports ready.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import os
 import time
@@ -127,6 +133,7 @@ def worker_main(
     worker_id: int,
     fault_plan=None,
     generation: int = 0,
+    ring_spec=None,
 ) -> None:
     """Run one worker: map the snapshot, then serve batches until stop."""
     from repro.oracle.snapshot import apply_snapshot_delta, load_snapshot
@@ -162,6 +169,9 @@ def worker_main(
     # walks it again.
     gc.freeze()
 
+    # Map the pool's ring before reporting ready, so no request pays
+    # for the attach.
+    ring = _current_ring(None, ring_spec)
     conn.send(
         (
             "ready",
@@ -174,14 +184,15 @@ def worker_main(
             },
         )
     )
-    ring = None
     try:
         while True:
             message = conn.recv()
             kind = message[0]
             if kind == "batch":
                 batch_id, queries = message[1], message[2]
-                ring_spec = message[3] if len(message) > 3 else None
+                ring_spec, quiet = (
+                    message[3:5] if len(message) > 3 else (None, False)
+                )
                 if injector is not None:
                     injector.on_batch(conn, batch_id)
                 tick = time.perf_counter()
@@ -190,31 +201,22 @@ def worker_main(
                 )
                 busy = time.perf_counter() - tick
                 ring = _current_ring(ring, ring_spec)
-                reply = None
-                if ring_spec is not None and ring is not None:
-                    epoch, seq = batch_id
-                    try:
-                        ring.write(seq, epoch, seq, answers, latencies, busy)
-                    except Exception:  # dsolint: disable=DSO402 -- ring write failure falls through to the full pipe reply below; nothing is swallowed
-                        reply = None
-                    else:
-                        reply = (
-                            "result_shm", batch_id, worker_id, busy, errors,
-                        )
-                if reply is None:
-                    reply = (
-                        "result",
-                        batch_id,
-                        worker_id,
-                        answers,
-                        latencies,
-                        busy,
-                        errors,
+                target = ring if ring_spec is not None else None
+                if injector is None:
+                    _deliver(
+                        conn, target, batch_id, worker_id, answers,
+                        latencies, busy, errors, quiet,
                     )
-                if injector is not None:
-                    reply = injector.outgoing_reply(batch_id, reply)
-                if reply is not None:
-                    conn.send(reply)
+                else:
+                    delivery = functools.partial(
+                        _deliver, conn, target, batch_id, worker_id,
+                        answers, latencies, busy, errors, quiet,
+                    )
+                    reply = injector.outgoing_reply(batch_id, delivery)
+                    if reply is delivery:
+                        delivery()
+                    elif reply is not None:
+                        conn.send(reply)
             elif kind == "delta":
                 _, path, edge_ids, ranks = message
                 if injector is not None:
@@ -246,14 +248,42 @@ def worker_main(
         conn.close()
 
 
-def _current_ring(ring, ring_spec):
-    """Keep the worker mapped to the batch's ring (one live at a time).
+def _deliver(
+    conn, ring, batch_id, worker_id, answers, latencies, busy, errors,
+    quiet,
+) -> None:
+    """Hand one batch's results back: ring slot first, pipe fallback.
 
-    Rings are per-``run()``: when a batch references a new ring name the
-    previous mapping is dropped first.  An attach failure (the run that
-    owned the ring already unlinked it, or the platform has no usable
-    shared memory) returns ``None`` and the caller replies over the
-    pipe instead — the dispatcher accepts either reply kind.
+    With a ``ring``, the answers go to slot ``seq`` and the pipe gets
+    the small completion record, or nothing for a ``quiet`` batch.  A
+    quiet batch with errors, a batch without a ring, and a failed ring
+    write all send the whole ``("result", ...)`` message instead.
+    """
+    if quiet and errors:
+        ring = None
+    if ring is not None:
+        epoch, seq = batch_id
+        try:
+            ring.write(seq, epoch, seq, answers, latencies, busy)
+        except Exception:  # dsolint: disable=DSO402 -- ring write failure falls through to the full pipe reply below; nothing is swallowed
+            ring = None
+    if ring is None:
+        conn.send(
+            ("result", batch_id, worker_id, answers, latencies, busy, errors)
+        )
+    elif not quiet:
+        conn.send(("result_shm", batch_id, worker_id, busy, errors))
+
+
+def _current_ring(ring, ring_spec):
+    """Keep the worker mapped to the pool's ring (one live at a time).
+
+    The dispatcher replaces its ring when it grows and after an aborted
+    run: when a batch references a new ring name the previous mapping
+    is dropped first.  An attach failure (the ring was already
+    unlinked, or the platform has no usable shared memory) returns
+    ``None`` and the caller replies over the pipe instead — the
+    dispatcher accepts either reply kind.
     """
     if ring_spec is None:
         return ring

@@ -652,9 +652,9 @@ def test_refresh_hot_pairs_precomputes_unseen_answers(tmp_path):
 
 
 def test_refresh_hot_pairs_with_shm_plane(tmp_path):
-    """``refresh_hot_pairs`` must not touch (or leak) any ring slot:
-    refresh batches are tiny and run over the pipe, while real runs
-    before and after keep the shm plane."""
+    """``refresh_hot_pairs`` rides the pool's ring: its chunks stamp the
+    refresh slots and send no reply, so the harvest leaves nothing in
+    the worker's pipe, and runs before and after keep the same ring."""
     graph = random_graph(44, n=30, extra=60)
     frozen = DISO(graph, tau=3).freeze()
     path = save_snapshot(frozen, tmp_path / "o.dsosnap")
@@ -667,15 +667,17 @@ def test_refresh_hot_pairs_with_shm_plane(tmp_path):
         service.start()
         warmup = service.run([(nodes[0], nodes[1], None)])
         assert warmup.result_plane == "shm"
-        assert service._ring is None  # ring lives exactly one run
+        ring = service._ring
+        assert ring is not None  # one ring for the pool's lifetime
         key = canonical_query_key(*target_query)
         for _ in range(8):
             service._hot.observe(key)
         stored = service.refresh_hot_pairs()
         assert stored == 1
         assert service.precomputed_total == 1
-        # Ring-less refresh: no slot allocated, nothing left behind.
-        assert service._ring is None
+        # Harvested from its stamp: no completion record is left over.
+        assert not service._pool[0].conn.poll(0)
+        assert service._ring is ring
         # Pair the precomputed key with a cold query: the cold one
         # dispatches over the shm ring, the hot one is served from the
         # cache and attributed as a precomputed hit.
@@ -686,7 +688,7 @@ def test_refresh_hot_pairs_with_shm_plane(tmp_path):
         assert report.answers[1] == frozen.query(nodes[5], nodes[20])
         assert report.cache_hits == 1
         assert report.precomputed_hits == 1
-        assert service._ring is None
+        assert service._ring is ring
 
 
 def test_cache_knob_validation():

@@ -257,13 +257,18 @@ class TestDeltaSwap:
         batch = script.batch
         plan = FaultPlan.single("delta_crash", at=1, worker=0)
         caplog.set_level(logging.INFO, logger=LOGGER)
+        segments = own_ring_segments()
         with make_service(
             script.paths[0], workers=2, fault_plan=plan
         ) as svc:
             svc.run(batch)
+            ring = own_ring_segments() - segments
+            assert len(ring) == 1
             script.step()
             svc.swap_snapshot(script.paths[-1])
             assert svc.total_restarts == 1
+            # The replacement maps the pool's ring; no new one is made.
+            assert own_ring_segments() - segments == ring
             assert hexes(svc.run(batch).answers) == expected_answers(
                 script.paths[-1], batch
             )
@@ -276,6 +281,7 @@ class TestDeltaSwap:
                 script.paths[-1], batch
             )
         assert multiprocessing.active_children() == []
+        assert own_ring_segments() == segments
         messages = [record.getMessage() for record in caplog.records]
         assert sum("replaced worker 0" in text for text in messages) == 1
 
@@ -283,14 +289,20 @@ class TestDeltaSwap:
         script = Script(tmp_path, 5)
         batch = script.batch
         caplog.set_level(logging.INFO, logger=LOGGER)
+        segments = own_ring_segments()
         with make_service(script.paths[0], workers=2) as svc:
             svc.run(batch)
             pids = [handle.pid for handle in svc._pool]
+            ring = own_ring_segments() - segments
+            assert len(ring) == 1
             tail, head, _ = sorted(script.graph.edges())[0]
             script.maintainer.delete_edge(tail, head)
             script.paths.append(script.save())
             svc.swap_snapshot(script.paths[-1])
             assert not set(pids) & {handle.pid for handle in svc._pool}
+            # The restart unlinked the old ring and made one new one.
+            restarted = own_ring_segments() - segments
+            assert len(restarted) == 1 and not restarted & ring
             live = [
                 q for q in batch
                 if (tail, head) not in (q.failed or ())
@@ -299,6 +311,7 @@ class TestDeltaSwap:
                 script.paths[-1], live
             )
         assert multiprocessing.active_children() == []
+        assert own_ring_segments() == segments
         swaps = [
             record.getMessage() for record in caplog.records
             if "snapshot swap" in record.getMessage()

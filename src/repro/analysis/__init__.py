@@ -1,10 +1,10 @@
 """``dsolint`` — AST-based invariant linter for the oracle stack.
 
 The correctness story of this reproduction rests on invariants that
-pytest only sees when they break at runtime: the parallel build plane
-promises bitwise-identical snapshots at any jobs count (which depends
-on every set that feeds serialized output being iterated under
-``sorted``), the serving plane ships callables and fault plans across
+pytest only sees when they break at runtime: a build must produce
+bitwise-identical snapshot bytes and cache keys under any hash seed
+(which depends on every set that feeds serialized output being
+iterated under ``sorted``), the serving plane ships callables and fault plans across
 process boundaries under both fork and spawn start methods, and the
 message protocol encodes per-query errors as a NaN sentinel that must
 never meet ``==``.  ``dsolint`` checks those invariants statically, on

@@ -3,8 +3,8 @@
 Different layers of the repo make different promises, so they get
 different rule sets:
 
-* ``worker`` — ``src/repro/serving`` and ``src/repro/build``: code that
-  runs inside (or dispatches to) worker processes.  Every rule is on,
+* ``worker`` — ``src/repro/serving``: code that runs inside (or
+  dispatches to) worker processes.  Every rule is on,
   including DSO403, which bans *silent* pass-only exception handlers in
   favour of the per-query error channel.
 * ``core`` — the rest of the library (``oracle``, ``overlay``,
@@ -87,7 +87,6 @@ TESTS_PROFILE = Profile(
 DEFAULT_CONFIG = LintConfig(
     scopes=(
         ("src/repro/serving", WORKER_PROFILE),
-        ("src/repro/build", WORKER_PROFILE),
         ("src/repro/experiments", EXPERIMENTS_PROFILE),
         ("benchmarks", EXPERIMENTS_PROFILE),
         ("examples", EXPERIMENTS_PROFILE),

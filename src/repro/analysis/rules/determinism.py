@@ -1,9 +1,9 @@
 """DSO1xx — determinism rules.
 
-The parallel build plane's headline guarantee (bitwise-identical
-snapshots at any ``--jobs`` count, fork or spawn) holds only while
-everything that feeds serialized bytes iterates in a reproducible
-order.  Python sets iterate in hash order, which varies with
+Two builds of the same index must save bitwise-identical snapshots,
+and a query must map to the same cache key in every process (DESIGN.md
+§12).  Both hold only while everything that feeds serialized bytes or
+keys iterates in a reproducible order.  Python sets iterate in hash order, which varies with
 ``PYTHONHASHSEED`` and insertion history, so any set iteration whose
 order can *escape* into a sequence, a report, or a file is a latent
 nondeterminism bug.  Unseeded module-level RNG calls and wall-clock

@@ -120,30 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--tau", type=int, default=3)
     build.add_argument("--theta", type=float, default=1.0)
     build.add_argument("--seed", type=int, default=7)
-    build.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="build with the parallel build plane over N worker "
-        "processes (0 = inline, still spooled/profiled); omit for the "
-        "classic sequential constructor",
-    )
-    build.add_argument(
-        "--spool",
-        metavar="DIR",
-        help="checkpoint directory for --jobs builds; a killed build "
-        "re-run with the same arguments resumes from it",
-    )
-    build.add_argument(
-        "--profile",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="JSON_PATH",
-        help="print the per-phase build profile (--jobs only); with a "
-        "path, also write the profile as JSON there",
-    )
 
     experiment = sub.add_parser(
         "experiment", help="reproduce a table or figure"
@@ -174,21 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument("--tau", type=int, default=3)
     snapshot.add_argument("--theta", type=float, default=1.0)
     snapshot.add_argument("--seed", type=int, default=7)
-    snapshot.add_argument(
-        "--from-checkpoint",
-        metavar="SPOOL_DIR",
-        help="finish an interrupted --jobs build from its spool "
-        "directory and snapshot the result (graph/oracle arguments are "
-        "taken from the checkpoint, not the command line)",
-    )
-    snapshot.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes for completing missing checkpoint "
-        "shards (--from-checkpoint only; default 0 = inline)",
-    )
 
     lint = sub.add_parser(
         "lint",
@@ -271,13 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--tau", type=int, default=3)
     shard.add_argument("--theta", type=float, default=1.0)
     shard.add_argument("--seed", type=int, default=7)
-    shard.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="border-matrix build workers per shard (0 = inline)",
-    )
     shard.add_argument(
         "--verify",
         type=int,
@@ -394,46 +348,6 @@ def _run_build(args) -> int:
     from repro.oracle.serialize import save_index
 
     graph = _load_graph(args)
-    if args.jobs is not None:
-        from repro.build import build_parallel, format_report
-
-        if args.oracle == "diso-b":
-            raise SystemExit(
-                "error: --jobs supports diso/adiso/diso-s/adiso-p; "
-                "diso-b has no parallel build plane"
-            )
-        result = build_parallel(
-            graph,
-            family=args.oracle,
-            jobs=args.jobs,
-            tau=args.tau,
-            theta=args.theta,
-            seed=args.seed,
-            spool_dir=args.spool,
-        )
-        oracle = result.oracle
-        save_index(oracle, args.index_file)
-        print(f"oracle        : {oracle.name}")
-        print(f"transit nodes : {len(oracle.transit)}")
-        print(f"overlay edges : {oracle.distance_graph.num_edges}")
-        print(f"preprocess s  : {oracle.preprocess_seconds:.3f}")
-        print(f"index written : {args.index_file}")
-        if args.profile is not None:
-            print()
-            print(format_report(result.report))
-            if args.profile:
-                from pathlib import Path
-
-                Path(args.profile).write_text(
-                    result.report.to_json() + "\n", encoding="utf-8"
-                )
-                print(f"profile json  : {args.profile}")
-        return 0
-    if args.spool or args.profile is not None:
-        raise SystemExit(
-            "error: --spool/--profile require the parallel build plane "
-            "(pass --jobs N)"
-        )
     classes = {
         "diso": DISO,
         "adiso": ADISO,
@@ -455,21 +369,9 @@ def _run_build(args) -> int:
 def _run_snapshot(args) -> int:
     from repro.oracle.snapshot import save_snapshot, snapshot_info
 
-    if args.from_checkpoint:
-        from repro.build import finalize_checkpoint
-
-        result = finalize_checkpoint(args.from_checkpoint, jobs=args.jobs)
-        oracle = result.oracle
-        report = result.report
-        print(f"checkpoint    : {args.from_checkpoint}")
-        print(
-            f"shards        : {report.resumed_units} resumed, "
-            f"{report.built_units} built"
-        )
-    else:
-        graph = _load_graph(args)
-        classes = {"diso": DISO, "adiso": ADISO}
-        oracle = classes[args.oracle](graph, tau=args.tau, theta=args.theta)
+    graph = _load_graph(args)
+    classes = {"diso": DISO, "adiso": ADISO}
+    oracle = classes[args.oracle](graph, tau=args.tau, theta=args.theta)
     frozen = oracle.freeze()
     save_snapshot(frozen, args.snapshot_file)
     info = snapshot_info(args.snapshot_file)
@@ -505,7 +407,6 @@ def _run_shard(args) -> int:
             seed=args.seed,
             tau=args.tau,
             theta=args.theta,
-            jobs=args.jobs,
         )
     except Exception as exc:
         raise SystemExit(f"error: {exc}") from exc

@@ -294,10 +294,8 @@ class FrozenGraph:
 
         The inverse of :meth:`from_digraph` up to ordering: node and
         edge sets, labels, and weights round-trip exactly.  Used where a
-        ``DiGraph`` is the point: the build plane's graph store
-        (:mod:`repro.build.graph_store`) hands workers one to
-        preprocess, and the CLI's ``serve-bench`` generates queries on
-        one.  Frozen engines never build one.
+        ``DiGraph`` is the point: the CLI's ``serve-bench`` generates
+        queries on one.  Frozen engines never build one.
         """
         graph = DiGraph()
         graph.add_nodes(self.node_ids)

@@ -49,34 +49,6 @@ class LandmarkTable:
             self._outbound.append(out_dist)
             self._inbound.append(reverse_dijkstra(graph, landmark))
 
-    @classmethod
-    def from_rows(
-        cls,
-        landmarks: Iterable[int],
-        outbound: Iterable[dict[int, float]],
-        inbound: Iterable[dict[int, float]],
-    ) -> "LandmarkTable":
-        """Assemble a table from precomputed per-landmark distance maps.
-
-        The parallel build plane computes each landmark's Dijkstra pair
-        in a worker and ships the maps back as dense shard rows; this
-        re-hangs them on a table without re-running any search.  The
-        maps must hold exactly the finite distances ``__init__`` would
-        compute (only values are consulted — never iteration order).
-        """
-        table = cls.__new__(cls)
-        table.landmarks = tuple(landmarks)
-        table._outbound = list(outbound)
-        table._inbound = list(inbound)
-        if len(table._outbound) != len(table.landmarks) or len(
-            table._inbound
-        ) != len(table.landmarks):
-            raise ValueError(
-                "from_rows needs one outbound and one inbound map per "
-                "landmark"
-            )
-        return table
-
     def __len__(self) -> int:
         return len(self.landmarks)
 

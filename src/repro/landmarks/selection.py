@@ -34,10 +34,9 @@ def build_landmarks(
 ) -> list[int]:
     """Resolve the landmark node list an ADISO-family build will use.
 
-    One entry point shared by the sequential constructors and the
-    parallel build plane, so both resolve the exact same list from the
-    exact same parameters — the precondition for the build plane's
-    bitwise-parity guarantee.  An explicit ``landmarks`` sequence wins;
+    One entry point shared by the ADISO-family constructors, so every
+    build resolves the exact same list from the exact same parameters
+    and saves the same snapshot bytes.  An explicit ``landmarks`` sequence wins;
     otherwise SLS selection (the paper's default) runs with ``seed`` and
     ``alpha``.
     """

@@ -101,9 +101,6 @@ class ADISO(DISO):
             self.landmarks = LandmarkTable(graph, landmarks)
         self.preprocess_seconds += time.perf_counter() - started
 
-    # ------------------------------------------------------------------
-    # Build plane hooks
-    # ------------------------------------------------------------------
     @staticmethod
     def select_landmarks(
         graph: DiGraph,
@@ -116,26 +113,6 @@ class ADISO(DISO):
         return build_landmarks(
             graph, num_landmarks, seed=seed, alpha=alpha, landmarks=landmarks
         )
-
-    @classmethod
-    def _from_assembled(
-        cls,
-        graph: DiGraph,
-        distance_graph,
-        trees,
-        *,
-        landmark_table: LandmarkTable,
-        preprocess_seconds: float = 0.0,
-    ) -> "ADISO":
-        """Adopt an index plus a landmark table assembled elsewhere."""
-        oracle = super()._from_assembled(
-            graph,
-            distance_graph,
-            trees,
-            preprocess_seconds=preprocess_seconds,
-        )
-        oracle.landmarks = landmark_table
-        return oracle
 
     # ------------------------------------------------------------------
     # Frozen query plane

@@ -116,16 +116,11 @@ class ADISOPartial(ADISO):
         self.avoid_affected_bias = max(0.0, avoid_affected_bias)
         self.preprocess_seconds += time.perf_counter() - started
 
-    # ------------------------------------------------------------------
-    # Build plane hooks
-    # ------------------------------------------------------------------
     def _build_h_overlay(self, tau_h: int) -> None:
         """Build the second overlay ``H`` over the finished ``D``.
 
         ``H`` is a distance graph *of the distance graph*, so it can
-        only be built after every landmark shard is merged — the
-        parallel build plane runs this on the coordinator, never in a
-        worker.
+        only be built once every bounded tree of ``D`` is in place.
         """
         overlay = self.distance_graph.graph
         cover_h = isc_path_cover(overlay, tau=tau_h, theta=INFINITY)
@@ -142,32 +137,6 @@ class ADISOPartial(ADISO):
             for node in tree.nodes():
                 node_to_h.setdefault(node, set()).add(root)
         self._node_to_h_roots = node_to_h
-
-    @classmethod
-    def _from_assembled(  # type: ignore[override]
-        cls,
-        graph: DiGraph,
-        distance_graph,
-        trees,
-        *,
-        landmark_table,
-        tau_h: int = 4,
-        exit_candidates: int = 1,
-        avoid_affected_bias: float = 0.0,
-        preprocess_seconds: float = 0.0,
-    ) -> "ADISOPartial":
-        """Adopt an assembled index, then derive ``H`` coordinator-side."""
-        oracle = super()._from_assembled(
-            graph,
-            distance_graph,
-            trees,
-            landmark_table=landmark_table,
-            preprocess_seconds=preprocess_seconds,
-        )
-        oracle._build_h_overlay(tau_h)
-        oracle.exit_candidates = max(1, exit_candidates)
-        oracle.avoid_affected_bias = max(0.0, avoid_affected_bias)
-        return oracle
 
     # ------------------------------------------------------------------
     # Frozen query plane

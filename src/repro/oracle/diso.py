@@ -85,48 +85,18 @@ class DISO(DistanceSensitivityOracle):
         if transit is None:
             transit = self.select_transit(graph, tau=tau, theta=theta)
         self.distance_graph: DistanceGraph
-        distance_graph, trees = build_distance_graph(graph, transit)
-        self._install_index(distance_graph, trees)
+        self.distance_graph, trees = build_distance_graph(graph, transit)
+        self.transit: frozenset[int] = self.distance_graph.transit
+        self.trees = BoundedTreeStore(trees, self.transit)
+        self.inverted_index = InvertedTreeIndex.from_trees(trees)
         self.preprocess_seconds = time.perf_counter() - started
 
-    # ------------------------------------------------------------------
-    # Build plane hooks (repro.build constructs the same index in parts)
-    # ------------------------------------------------------------------
     @staticmethod
     def select_transit(
         graph: DiGraph, tau: int = 4, theta: float = 1.0
     ) -> set[int]:
         """The default transit node set: an ISC ``2^tau``-path cover."""
         return isc_path_cover(graph, tau=tau, theta=theta).cover
-
-    def _install_index(self, distance_graph: DistanceGraph, trees) -> None:
-        """Adopt a finished first/second-level index (however built)."""
-        self.distance_graph = distance_graph
-        self.transit: frozenset[int] = distance_graph.transit
-        self.trees = BoundedTreeStore(trees, self.transit)
-        self.inverted_index = InvertedTreeIndex.from_trees(trees)
-
-    @classmethod
-    def _from_assembled(
-        cls,
-        graph: DiGraph,
-        distance_graph: DistanceGraph,
-        trees,
-        *,
-        preprocess_seconds: float = 0.0,
-    ) -> "DISO":
-        """Adopt an index assembled elsewhere (the parallel build plane).
-
-        ``distance_graph``/``trees`` must be value-equal to what
-        :func:`build_distance_graph` would produce on ``graph`` — the
-        coordinator guarantees this by merging worker shards in sorted
-        landmark order.
-        """
-        oracle = cls.__new__(cls)
-        DistanceSensitivityOracle.__init__(oracle, graph)
-        oracle._install_index(distance_graph, trees)
-        oracle.preprocess_seconds = preprocess_seconds
-        return oracle
 
     # ------------------------------------------------------------------
     # Frozen query plane

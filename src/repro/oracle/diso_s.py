@@ -71,14 +71,7 @@ class DISOSparse(DISO):
         sparse_input = input_result.graph
         self.input_sparsification = input_result
         super().__init__(sparse_input, tau=tau, theta=theta, transit=transit)
-        self._sparsify_overlay(beta, degree_floor)
-        self.preprocess_seconds = time.perf_counter() - started
-
-    # ------------------------------------------------------------------
-    # Build plane hooks
-    # ------------------------------------------------------------------
-    def _sparsify_overlay(self, beta: float, degree_floor: int | None) -> None:
-        """Step 3: sparsify ``D`` to ``D-hat`` (same rule both phases)."""
+        # Step 3: sparsify D to D-hat (same rule as step 1).
         overlay_result = sparsify_graph(
             self.distance_graph.graph, beta, degree_floor
         )
@@ -86,38 +79,7 @@ class DISOSparse(DISO):
         self.distance_graph = DistanceGraph(
             graph=overlay_result.graph, transit=self.transit
         )
-
-    @classmethod
-    def _from_assembled(  # type: ignore[override]
-        cls,
-        original_graph: DiGraph,
-        input_sparsification,
-        distance_graph,
-        trees,
-        *,
-        beta: float = 1.5,
-        degree_floor: int | None = None,
-        preprocess_seconds: float = 0.0,
-    ) -> "DISOSparse":
-        """Adopt an index built on the sparsified input graph.
-
-        ``input_sparsification`` is the step-1 result (the oracle's
-        working graph is its ``.graph``); ``distance_graph``/``trees``
-        are the *unsparsified* overlay and trees assembled from worker
-        shards.  Step 3 (overlay sparsification) runs here — it needs
-        the fully merged ``D``, so it cannot be farmed out per landmark.
-        """
-        from repro.oracle.base import DistanceSensitivityOracle
-
-        oracle = cls.__new__(cls)
-        DistanceSensitivityOracle.__init__(oracle, input_sparsification.graph)
-        oracle.original_graph = original_graph
-        oracle.beta = beta
-        oracle.input_sparsification = input_sparsification
-        oracle._install_index(distance_graph, trees)
-        oracle._sparsify_overlay(beta, degree_floor)
-        oracle.preprocess_seconds = preprocess_seconds
-        return oracle
+        self.preprocess_seconds = time.perf_counter() - started
 
     def freeze(self):
         """Compile for flat-array serving, keeping DISO-S semantics.

@@ -111,15 +111,14 @@ def pack_container(
     """Serialize accumulated sections into one container byte string.
 
     This is the DSOSNAP1 framing (DESIGN.md §7) with ``magic`` and
-    ``version`` as parameters: sibling planes — the parallel build
-    plane's graph container in :mod:`repro.build.graph_store` — reuse
-    the exact same layout, writer, and reader without masquerading as
-    serving snapshots.  ``magic`` must be exactly 8 bytes.
+    ``version`` as parameters: the sharded snapshot's manifest
+    (:mod:`repro.sharding.snapshot`) reuses the exact same layout,
+    writer, and reader without masquerading as serving snapshots.
+    ``magic`` must be exactly 8 bytes.
 
     The output is a pure function of the sections and ``meta`` (the
     header JSON is dumped with sorted keys, no timestamps are added),
-    so equal inputs produce bitwise-equal containers — the property the
-    build plane's checkpoint fingerprinting relies on.
+    so equal inputs produce bitwise-equal containers.
     """
     if len(magic) != len(SNAPSHOT_MAGIC):
         raise FormatError(

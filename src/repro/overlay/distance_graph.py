@@ -57,8 +57,21 @@ class DistanceGraph:
         return node in self.transit
 
 
-def validate_transit(graph: DiGraph, transit) -> frozenset[int]:
-    """Validate a transit node set against ``graph``; return it frozen.
+def build_distance_graph(
+    graph: DiGraph,
+    transit: set[int] | frozenset[int],
+) -> tuple[DistanceGraph, dict[int, ShortestPathTree]]:
+    """Construct ``D`` and all bounded shortest path trees in one pass.
+
+    For each transit node ``u``, in sorted order, one bounded Dijkstra
+    run yields both the bounded shortest path tree ``G_u`` and the
+    distance-graph out-edges of ``u`` (the transit nodes it settles as
+    leaves, with their transit-free distances, in settle order).
+
+    Returns
+    -------
+    (distance_graph, trees):
+        The overlay and ``{u: G_u}`` for every transit node.
 
     Raises
     ------
@@ -72,79 +85,17 @@ def validate_transit(graph: DiGraph, transit) -> frozenset[int]:
             raise PreprocessingError(
                 f"transit node {node!r} is not in the input graph"
             )
-    return frozenset(transit)
-
-
-def landmark_tree_unit(
-    graph: DiGraph,
-    root: int,
-    transit: frozenset[int],
-) -> tuple[ShortestPathTree, list[tuple[int, float]]]:
-    """The per-landmark work unit: one bounded Dijkstra from ``root``.
-
-    Yields both halves of the index that run produces — the bounded
-    shortest path tree ``G_root`` (second-level index) and the
-    distance-graph out-edges of ``root`` (transit nodes settled as
-    leaves, with their transit-free distances, in settle order).
-
-    Independent across roots, which is what makes construction
-    embarrassingly parallel: the build plane
-    (:mod:`repro.build.coordinator`) ships exactly this function's
-    output per landmark as a shard.
-    """
-    result = bounded_dijkstra(graph, root, transit, direction="out")
-    out_edges = [
-        (v, distance) for v, distance in result.access.items() if v != root
-    ]
-    return result.to_tree(), out_edges
-
-
-def assemble_distance_graph(
-    transit: frozenset[int],
-    out_edges: dict[int, list[tuple[int, float]]],
-) -> DistanceGraph:
-    """Merge per-landmark out-edge lists into the overlay ``D``.
-
-    ``out_edges`` maps each transit node to the edge list its
-    :func:`landmark_tree_unit` produced.  Merge order is sorted landmark
-    order — the determinism contract of the parallel build plane: the
-    assembled overlay's content depends only on the edge values, never
-    on which worker finished first.
-    """
+    transit_frozen = frozenset(transit)
     overlay = DiGraph()
-    overlay.add_nodes(transit)
-    for u in sorted(transit):
-        for v, distance in out_edges[u]:
-            overlay.add_edge(u, v, distance)
-    return DistanceGraph(graph=overlay, transit=transit)
-
-
-def build_distance_graph(
-    graph: DiGraph,
-    transit: set[int] | frozenset[int],
-) -> tuple[DistanceGraph, dict[int, ShortestPathTree]]:
-    """Construct ``D`` and all bounded shortest path trees in one pass.
-
-    For each transit node ``u`` one :func:`landmark_tree_unit` run
-    yields both the bounded shortest path tree ``G_u`` and the
-    distance-graph out-edges of ``u``.
-
-    Returns
-    -------
-    (distance_graph, trees):
-        The overlay and ``{u: G_u}`` for every transit node.
-
-    Raises
-    ------
-    PreprocessingError
-        If ``transit`` is empty or contains unknown nodes.
-    """
-    transit_frozen = validate_transit(graph, transit)
+    overlay.add_nodes(transit_frozen)
     trees: dict[int, ShortestPathTree] = {}
-    edges: dict[int, list[tuple[int, float]]] = {}
     for u in sorted(transit_frozen):
-        trees[u], edges[u] = landmark_tree_unit(graph, u, transit_frozen)
-    return assemble_distance_graph(transit_frozen, edges), trees
+        result = bounded_dijkstra(graph, u, transit_frozen, direction="out")
+        for v, distance in result.access.items():
+            if v != u:
+                overlay.add_edge(u, v, distance)
+        trees[u] = result.to_tree()
+    return DistanceGraph(graph=overlay, transit=transit_frozen), trees
 
 
 def verify_distance_graph(

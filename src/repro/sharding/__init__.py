@@ -5,8 +5,7 @@ The pipeline (DESIGN.md §13):
 1. :func:`make_shard_plan` cuts the graph with one of the existing
    partitioners and derives the sorted border/cross-edge overlay.
 2. :func:`build_sharded` builds a frozen DISO per shard plus the
-   failure-free border-distance matrices (inline or through the
-   parallel build plane).
+   failure-free border-distance matrices (one Dijkstra per border).
 3. :func:`save_sharded_snapshot` / :func:`load_sharded_snapshot`
    persist the result as a manifest + per-shard DSOSNAP1 directory.
 4. :class:`ShardedOracle` (or the sharded serving plane in

@@ -7,27 +7,18 @@ subgraph, plus the *border matrix* — the failure-free distances
 that shard.  Border matrices are the type-2 edges of the cross-shard
 overlay graph the stitcher walks (DESIGN.md §13).
 
-Border rows are computed as LANDMARK-kind units of the parallel build
-plane (:func:`repro.build.worker.compute_unit`): each border node is a
-"landmark" of its shard subgraph and its unit is the same encoded
-forward/backward Dijkstra pair the ADISO landmark build ships —
-inline for ``jobs=0``, fanned over a
-:class:`repro.build.coordinator._BuildPool` per shard otherwise.
-Both paths produce byte-identical shard frames, so the matrices do not
-depend on the worker count.
+Each border row is one forward Dijkstra from that border node over the
+shard subgraph, read at the border columns.
 """
 
 from __future__ import annotations
 
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.build.shards import LANDMARK_KIND, decode_shard
-from repro.build.worker import compute_unit
 from repro.graph.digraph import DiGraph
 from repro.oracle.diso import DISO
+from repro.pathing.dijkstra import dijkstra
 from repro.sharding.plan import ShardPlan, make_shard_plan
 
 INFINITY = float("inf")
@@ -83,75 +74,18 @@ def _shard_transit(shard_graph: DiGraph, tau: int, theta: float):
 def compute_border_matrix(
     shard_graph: DiGraph,
     borders: tuple[int, ...] | list[int],
-    jobs: int = 0,
-    start_method: str | None = None,
 ) -> list[list[float]]:
     """Failure-free border-to-border distances inside one shard.
 
-    Each border node is dispatched as a LANDMARK-kind unit of the
-    parallel build plane; the decoded outbound Dijkstra row, projected
-    onto the border columns, is the matrix row.  ``jobs=0`` computes
-    the identical units inline.
+    Row ``i`` is the forward Dijkstra from ``borders[i]`` over
+    ``shard_graph`` read at the border columns, ``inf`` where a border
+    cannot reach another.
     """
-    borders = list(borders)
-    if not borders:
-        return []
-    node_ids = sorted(shard_graph.nodes())
-    shard_bytes: dict[int, bytes] = {}
-    if jobs > 0:
-        _pooled_landmark_units(
-            shard_graph, borders, node_ids, jobs, start_method, shard_bytes
-        )
-    else:
-        transit = frozenset(borders)
-        for border in borders:
-            shard_bytes[border] = compute_unit(
-                LANDMARK_KIND, border, shard_graph, shard_graph,
-                transit, node_ids,
-            )
     matrix: list[list[float]] = []
     for border in borders:
-        decoded = decode_shard(shard_bytes[border])
-        outbound, _ = decoded.to_rows(node_ids)
-        matrix.append([outbound.get(other, INFINITY) for other in borders])
+        distances, _ = dijkstra(shard_graph, border)
+        matrix.append([distances.get(other, INFINITY) for other in borders])
     return matrix
-
-
-def _pooled_landmark_units(
-    shard_graph, borders, node_ids, jobs, start_method, out: dict
-) -> None:
-    """Fan one shard's border units over a build-plane worker pool."""
-    from repro.build.coordinator import _BuildPool, _resolve_start_method
-    from repro.build.graph_store import build_container_bytes
-    from repro.build.profiler import BuildReport
-
-    container = build_container_bytes(
-        shard_graph,
-        family="diso",
-        params={"role": "border-overlay"},
-        transit=sorted(borders),
-        landmarks=list(borders),
-    )
-    report = BuildReport(family="diso", jobs=jobs)
-    with tempfile.TemporaryDirectory(prefix="dso-shard-build-") as tmp:
-        container_path = Path(tmp) / "shard.dsobld"
-        container_path.write_bytes(container)
-        pool = _BuildPool(
-            container_path,
-            workers=jobs,
-            start_method=_resolve_start_method(start_method),
-            max_restarts=None,
-            report=report,
-        )
-        try:
-            units = [(LANDMARK_KIND, border) for border in borders]
-            chunk = max(1, len(units) // (jobs * 4) or 1)
-            pool.run(
-                units, chunk,
-                lambda kind, label, data: out.__setitem__(label, data),
-            )
-        finally:
-            pool.shutdown()
 
 
 def build_sharded(
@@ -161,8 +95,6 @@ def build_sharded(
     seed: int = 0,
     tau: int = 3,
     theta: float = 1.0,
-    jobs: int = 0,
-    start_method: str | None = None,
     plan: ShardPlan | None = None,
 ) -> ShardedBuild:
     """Cut ``graph`` and build the full sharded index.
@@ -184,10 +116,7 @@ def build_sharded(
         for shard_graph in shard_graphs
     ]
     border_matrices = [
-        compute_border_matrix(
-            shard_graph, plan.shard_borders[shard],
-            jobs=jobs, start_method=start_method,
-        )
+        compute_border_matrix(shard_graph, plan.shard_borders[shard])
         for shard, shard_graph in enumerate(shard_graphs)
     ]
     # The F=∅ border closure is cheap relative to the per-shard oracle

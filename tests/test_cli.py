@@ -235,78 +235,6 @@ class TestServingCommands:
         assert "DISO-S" in capsys.readouterr().out
 
 
-class TestParallelBuildCLI:
-    def _graph_file(self, tmp_path):
-        graph = road_network(5, 5, seed=2)
-        path = tmp_path / "g.tsv"
-        write_edge_list(graph, path)
-        return path
-
-    def test_build_jobs_with_profile(self, tmp_path, capsys):
-        graph_file = self._graph_file(tmp_path)
-        index = tmp_path / "idx.json"
-        profile = tmp_path / "profile.json"
-        code = main(
-            ["build", str(index),
-             "--graph-file", str(graph_file),
-             "--jobs", "2", "--tau", "3",
-             "--spool", str(tmp_path / "spool"),
-             "--profile", str(profile)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "build profile" in out
-        assert "spt_fanout" in out
-        assert index.exists()
-        assert profile.exists()
-        import json
-
-        data = json.loads(profile.read_text())
-        assert data["jobs"] == 2
-        assert data["built_units"] == data["total_units"]
-
-    def test_build_jobs_rejects_diso_b(self, tmp_path):
-        graph_file = self._graph_file(tmp_path)
-        with pytest.raises(SystemExit, match="diso-b"):
-            main(
-                ["build", str(tmp_path / "idx.json"),
-                 "--graph-file", str(graph_file),
-                 "--jobs", "1", "--oracle", "diso-b"]
-            )
-
-    def test_profile_requires_jobs(self, tmp_path):
-        graph_file = self._graph_file(tmp_path)
-        with pytest.raises(SystemExit, match="--jobs"):
-            main(
-                ["build", str(tmp_path / "idx.json"),
-                 "--graph-file", str(graph_file), "--profile"]
-            )
-
-    def test_snapshot_from_checkpoint(self, tmp_path, capsys):
-        graph_file = self._graph_file(tmp_path)
-        spool = tmp_path / "spool"
-        code = main(
-            ["build", str(tmp_path / "idx.json"),
-             "--graph-file", str(graph_file),
-             "--jobs", "0", "--tau", "3",
-             "--spool", str(spool)]
-        )
-        assert code == 0
-        capsys.readouterr()
-        snap = tmp_path / "oracle.dsosnap"
-        code = main(
-            ["snapshot", str(snap), "--from-checkpoint", str(spool)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "resumed" in out
-        assert snap.exists()
-        from repro.oracle.snapshot import load_snapshot
-
-        oracle = load_snapshot(snap)
-        assert oracle.query(0, 12, frozenset()) >= 0.0
-
-
 class TestLint:
     def test_lint_parser_defaults(self):
         args = build_parser().parse_args(["lint"])

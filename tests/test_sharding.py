@@ -20,6 +20,7 @@ from repro.exceptions import FormatError, PartitionError, QueryError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_network
 from repro.oracle.diso import DISO
+from repro.pathing.dijkstra import dijkstra
 from repro.sharding import (
     MANIFEST_NAME,
     ShardedOracle,
@@ -153,14 +154,39 @@ class TestBorderMatrix:
             assert len(row) == width
             assert row[i] == 0.0
 
-    def test_pooled_equals_inline(self):
-        graph = grid_network(5, 5)
-        plan = make_shard_plan(graph, 2, seed=1)
-        shard_graph = graph.subgraph(plan.shard_nodes[0])
-        borders = plan.shard_borders[0]
-        inline = compute_border_matrix(shard_graph, borders, jobs=0)
-        pooled = compute_border_matrix(shard_graph, borders, jobs=2)
-        assert inline == pooled
+    @staticmethod
+    def _reference(shard_graph, borders):
+        """One forward Dijkstra per border, read at the border columns."""
+        rows = []
+        for border in borders:
+            distances, _ = dijkstra(shard_graph, border)
+            rows.append([distances.get(b, math.inf) for b in borders])
+        return rows
+
+    def test_rows_are_dijkstra_on_a_directed_float_shard(self):
+        # 0 -> 1 -> 2 -> 3 one way only, plus a float shortcut 0 -> 2;
+        # border 3 reaches no other border and border 2 not border 0.
+        shard = DiGraph([
+            (0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.31), (2, 3, 0.7),
+            (1, 4, 1.3), (4, 3, 0.05),
+        ])
+        borders = (0, 2, 3, 4)
+        matrix = compute_border_matrix(shard, borders)
+        assert matrix == self._reference(shard, borders)
+        assert math.isinf(matrix[2][0]) and math.isinf(matrix[1][0])
+        # 0.1 + 0.2 < 0.31 in floats: the row keeps Dijkstra's sum.
+        assert matrix[0][1] == 0.1 + 0.2
+
+    def test_grid_cut_matches_reference(self):
+        build = build_sharded(
+            grid_network(20, 20), 2, method="metis", seed=1, tau=4,
+            theta=1.0,
+        )
+        for shard, shard_graph in enumerate(build.shard_graphs):
+            borders = build.plan.shard_borders[shard]
+            assert build.border_matrices[shard] == self._reference(
+                shard_graph, borders
+            )
 
     def test_empty_borders(self):
         graph = grid_network(3, 3)

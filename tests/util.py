@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 from repro.graph.digraph import DiGraph
+from repro.oracle.snapshot import save_snapshot
 
 
 def random_graph(seed: int, n: int = 30, extra: int = 60) -> DiGraph:
@@ -61,3 +64,21 @@ def random_failures_from(
     edges = sorted((t, h) for t, h, _ in graph.edges())
     count = min(count, len(edges) - 1)
     return set(rng.sample(edges, count))
+
+
+def canonical_snapshot_bytes(frozen_oracle) -> bytes:
+    """Snapshot bytes with the two wall-clock meta fields zeroed.
+
+    ``preprocess_seconds``/``freeze_seconds`` differ between two builds
+    of the same index; with them zeroed the bytes are a pure function of
+    the index content.
+    """
+    saved = (frozen_oracle.preprocess_seconds, frozen_oracle.freeze_seconds)
+    frozen_oracle.preprocess_seconds = frozen_oracle.freeze_seconds = 0.0
+    try:
+        with tempfile.TemporaryDirectory(prefix="dso-canon-") as tmp:
+            path = Path(tmp) / "canonical.dsosnap"
+            save_snapshot(frozen_oracle, path)
+            return path.read_bytes()
+    finally:
+        frozen_oracle.preprocess_seconds, frozen_oracle.freeze_seconds = saved

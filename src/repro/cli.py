@@ -505,6 +505,26 @@ def _run_lint(args) -> int:
     return 0 if report.ok else 1
 
 
+def _check_serve_parity(report, baseline: list, workers: int) -> None:
+    """Exit if an answered query differs from the sequential baseline.
+
+    Errored queries answer NaN by design, and shed queries are NaN on
+    purpose; parity holds on every ``"ok"`` one.
+    """
+    diverged = [
+        position
+        for position, (status, got, want) in enumerate(
+            zip(report.statuses, report.answers, baseline)
+        )
+        if status == "ok" and got != want
+    ]
+    if diverged:
+        raise SystemExit(
+            f"error: {workers}-worker answers diverge from the "
+            f"sequential baseline at positions {diverged[:5]}"
+        )
+
+
 def _run_serve_bench(args) -> int:
     from pathlib import Path
 
@@ -572,23 +592,7 @@ def _run_serve_bench(args) -> int:
             deadline_ms=args.deadline_ms,
         ) as service:
             report = service.run(queries)
-        # Errored queries answer NaN by design, and shed queries are
-        # NaN on purpose; parity holds on everything else.
-        shed = set(report.shed_indices)
-        diverged = [
-            position
-            for position, (got, want) in enumerate(
-                zip(report.answers, baseline)
-            )
-            if report.errors[position] is None
-            and position not in shed
-            and got != want
-        ]
-        if diverged:
-            raise SystemExit(
-                f"error: {workers}-worker answers diverge from the "
-                f"sequential baseline at positions {diverged[:5]}"
-            )
+        _check_serve_parity(report, baseline, workers)
         print(
             f"{workers:>8} {report.result_plane:>6} "
             f"{report.queries_per_second:>10.1f} "
@@ -690,21 +694,7 @@ def _run_serve_bench_sharded(args, worker_counts: list[int]) -> int:
             deadline_ms=args.deadline_ms,
         ) as service:
             report = service.run(queries)
-        shed = set(report.shed_indices)
-        diverged = [
-            position
-            for position, (got, want) in enumerate(
-                zip(report.answers, baseline)
-            )
-            if report.errors[position] is None
-            and position not in shed
-            and got != want
-        ]
-        if diverged:
-            raise SystemExit(
-                f"error: {workers}-worker answers diverge from the "
-                f"sequential baseline at positions {diverged[:5]}"
-            )
+        _check_serve_parity(report, baseline, workers)
         print(
             f"{workers:>8} "
             f"{report.queries_per_second:>10.1f} "

@@ -41,16 +41,23 @@ insert and removal tells the tracker, which keeps a sorted leaderboard
 of the tracked keys the cache does not hold, so ``top(k)`` — what
 :meth:`repro.serving.QueryService.refresh_hot_pairs` deals after each
 run — is a slice, not a walk over the table and the cache.
+
+:class:`BatchFront` puts the cache, the tracker and deadline admission
+together in front of one dispatch: both the unsharded and the sharded
+service run every batch through it.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 from bisect import bisect_left, insort
 from collections import OrderedDict
+from dataclasses import dataclass, field
 
 from repro.oracle.base import canonical_failure_key
+from repro.serving.admission import DeadlineAdmission
 
 #: Canonical cache key: ``(source, target, sorted failure tuple)``.
 QueryKey = tuple[int, int, tuple]
@@ -330,3 +337,165 @@ class HotPairTracker:
 
     def __len__(self) -> int:
         return len(self._scores)
+
+
+@dataclass
+class FrontBatch:
+    """One batch between :meth:`BatchFront.admit` and ``finish``.
+
+    ``wire`` is what to dispatch and ``positions`` the input position of
+    each of its queries.  ``answers`` is in input order, cache hits
+    filled in; ``duplicates`` maps a leader's position to the positions
+    of its repeats.  ``identity`` means ``wire`` is the input batch
+    itself, so there is nothing to scatter.
+    """
+
+    wire: list
+    positions: list[int]
+    epoch: int
+    answers: list[float]
+    keys: list | None = None
+    duplicates: dict[int, list[int]] = field(default_factory=dict)
+    cache_hits: int = 0
+    precomputed_hits: int = 0
+    shed_indices: list[int] = field(default_factory=list)
+    identity: bool = True
+
+
+class BatchFront:
+    """Cache, dedup, shed and scatter around one dispatch.
+
+    Owns the :class:`ResultCache` (``cache_size`` > 0), the
+    :class:`HotPairTracker` (``hot_pairs`` > 0, which needs the cache)
+    and the :class:`~repro.serving.admission.DeadlineAdmission`
+    (``deadline_ms`` set, over ``workers``).  :meth:`admit` serves cache
+    hits, keeps one leader per distinct key and sheds what the deadline
+    cannot fit, logging one ``INFO`` record to ``log``; :meth:`finish`
+    scatters the dispatched lanes back.  With no cache and no shed the
+    batch passes untouched: no copy, no scatter.
+    """
+
+    def __init__(
+        self,
+        cache_size: int = 0,
+        hot_pairs: int = 0,
+        deadline_ms: float | None = None,
+        workers: int = 1,
+        log: logging.Logger | None = None,
+    ) -> None:
+        if cache_size < 0 or hot_pairs < 0:
+            raise ValueError("cache_size and hot_pairs must be >= 0")
+        if hot_pairs and not cache_size:
+            raise ValueError(
+                "hot-pair precomputation stores its answers in the result "
+                "cache; pass cache_size > 0 alongside hot_pairs"
+            )
+        self.hot = HotPairTracker() if hot_pairs else None
+        self.cache = ResultCache(cache_size, self.hot) if cache_size else None
+        self.admission = (
+            DeadlineAdmission(deadline_ms, workers)
+            if deadline_ms is not None
+            else None
+        )
+        self._log = log or logging.getLogger(__name__)
+
+    def admit(self, wire: list, epoch: int) -> FrontBatch:
+        """Look up, dedup and shed ``wire`` under snapshot ``epoch``."""
+        batch = FrontBatch(wire, [], epoch, [float("nan")] * len(wire))
+        positions = batch.positions
+        cache = self.cache
+        if cache is None:
+            positions.extend(range(len(wire)))
+        else:
+            batch.keys = [canonical_query_key(*query) for query in wire]
+            if self.hot is not None:
+                for key in batch.keys:
+                    self.hot.observe(key)
+            first_seen: dict = {}
+            for position, key in enumerate(batch.keys):
+                hit = cache.get(key, epoch)
+                if hit is not None:
+                    batch.answers[position], was_precomputed = hit
+                    batch.cache_hits += 1
+                    batch.precomputed_hits += was_precomputed
+                elif key in first_seen:
+                    batch.duplicates.setdefault(
+                        first_seen[key], []
+                    ).append(position)
+                else:
+                    first_seen[key] = position
+                    positions.append(position)
+        if self.admission is not None and positions:
+            admitted = self.admission.admit(len(positions))
+            if admitted < len(positions):
+                shed = batch.shed_indices
+                for position in positions[admitted:]:
+                    shed.append(position)
+                    # A duplicate of a shed leader is the same query:
+                    # it is shed with it, never silently answered NaN.
+                    shed.extend(batch.duplicates.pop(position, ()))
+                del positions[admitted:]
+                shed.sort()
+                self._log.info(
+                    "shed %d queries, admitted %d (deadline %g ms)",
+                    len(shed), admitted, self.admission.deadline_ms,
+                )
+        batch.identity = cache is None and not batch.shed_indices
+        if not batch.identity:
+            batch.wire = [wire[position] for position in positions]
+        return batch
+
+    def finish(
+        self, batch: FrontBatch, answers: list[float],
+        latencies: list[float], errors: list, busy_seconds: float,
+    ) -> dict:
+        """The input-order :class:`~repro.serving.service.ServeReport`
+        lanes and counters of a dispatched ``batch``.
+
+        ``answers``, ``latencies`` and ``errors`` follow ``batch.wire``;
+        ``busy_seconds`` is the workers' summed busy time on it.  Each
+        leader's outcome is fanned out to its duplicates (which count as
+        cache hits) and each successful answer is cached.
+        """
+        cache_hits = batch.cache_hits
+        if not batch.identity:
+            full_answers = batch.answers
+            full_latencies = [0.0] * len(full_answers)
+            full_errors: list[str | None] = [None] * len(full_answers)
+            for index, position in enumerate(batch.positions):
+                full_answers[position] = answers[index]
+                full_latencies[position] = latencies[index]
+                full_errors[position] = errors[index]
+                if self.cache is not None and errors[index] is None:
+                    self.cache.put(
+                        batch.keys[position], answers[index], batch.epoch
+                    )
+            for leader, positions in batch.duplicates.items():
+                for position in positions:
+                    full_answers[position] = full_answers[leader]
+                    full_errors[position] = full_errors[leader]
+                cache_hits += len(positions)
+            answers, latencies, errors = (
+                full_answers, full_latencies, full_errors
+            )
+        if self.admission is not None and batch.wire:
+            self.admission.observe(len(batch.wire), busy_seconds)
+        return {
+            "answers": answers, "latencies": latencies, "errors": errors,
+            "cache_hits": cache_hits,
+            "precomputed_hits": batch.precomputed_hits,
+            "shed_indices": batch.shed_indices,
+        }
+
+    def retire_older_than(self, epoch: int) -> None:
+        """Drop every cached answer stamped before ``epoch``."""
+        if self.cache is not None:
+            self.cache.retire_older_than(epoch)
+
+    def cache_stats(self) -> dict | None:
+        """The cache's counters; ``None`` without a cache."""
+        return None if self.cache is None else self.cache.stats()
+
+    def admission_stats(self) -> dict | None:
+        """The load-shedder's counters; ``None`` without a deadline."""
+        return None if self.admission is None else self.admission.stats()

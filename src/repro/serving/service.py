@@ -38,24 +38,15 @@ creation fails; logged as a warning) or per batch (a worker cannot
 attach to or write the ring), without losing answers;
 :attr:`ServeReport.result_plane` says which.
 
-Caching and admission (v4, spec in DESIGN.md §12): with
-``cache_size > 0`` the dispatcher keeps a
-:class:`~repro.serving.cache.ResultCache` keyed on ``(s, t,
-canonicalized failure set)`` — repeats of a finished query are served
-as a dictionary lookup without touching a worker, duplicates *within*
-one batch are computed once and fanned out, and every entry is stamped
-with the snapshot epoch it was computed under so retiring a snapshot
+Caching and admission (v4, spec in DESIGN.md §12): one
+:class:`~repro.serving.cache.BatchFront`, shared with the sharded
+service, holds the optional ``cache_size`` result cache keyed on ``(s,
+t, canonicalized F)``, the ``hot_pairs`` tracker whose hottest uncached
+keys are answered in the idle gap (:meth:`QueryService.refresh_hot_pairs`)
+and the ``deadline_ms`` load-shedder.  Cache hits, within-batch
+duplicates and sheds never reach a worker; retiring a snapshot
 (:meth:`QueryService.swap_snapshot`) invalidates the whole cache by
-bumping an integer.  ``hot_pairs > 0`` adds a
-:class:`~repro.serving.cache.HotPairTracker` whose hottest uncached
-keys are dealt to the pool as each run returns and answered in the
-idle gap (:meth:`QueryService.refresh_hot_pairs`).  ``deadline_ms`` arms a
-:class:`~repro.serving.admission.DeadlineAdmission` load-shedder: when
-the queued work provably cannot meet the deadline budget, the excess
-is answered with the NaN sentinel under a ``"shed"`` status instead of
-queueing unboundedly.  All three sit *before* shard dispatch — cache
-hits and sheds never reach a worker — and all three are off by
-default, leaving the v2/v3 behaviour untouched.
+bumping an integer.  All three are off by default.
 
 Index updates (DESIGN.md §7.4): :meth:`QueryService.swap_snapshot`
 diffs the new file against the served one and, when they differ only
@@ -86,12 +77,7 @@ from collections.abc import Sequence
 from repro.exceptions import FormatError
 from repro.oracle.parallel import latency_percentile
 from repro.oracle.snapshot import SnapshotReader, snapshot_delta
-from repro.serving.admission import DeadlineAdmission
-from repro.serving.cache import (
-    HotPairTracker,
-    ResultCache,
-    canonical_query_key,
-)
+from repro.serving.cache import BatchFront
 from repro.serving.ring import ResultRing
 from repro.serving.worker import worker_main
 from repro.workload.queries import Query
@@ -130,7 +116,7 @@ class WorkerStats:
 
 @dataclass
 class ServeReport:
-    """Aggregate outcome of one sharded batch run."""
+    """Aggregate outcome of one ``run()`` of either service."""
 
     answers: list[float]
     latencies: list[float]
@@ -481,13 +467,11 @@ class QueryService:
             raise ValueError("workers must be >= 1")
         if batch_timeout <= 0 or ping_timeout <= 0:
             raise ValueError("batch_timeout and ping_timeout must be > 0")
-        if cache_size < 0 or hot_pairs < 0:
-            raise ValueError("cache_size and hot_pairs must be >= 0")
-        if hot_pairs and not cache_size:
-            raise ValueError(
-                "hot-pair precomputation stores its answers in the result "
-                "cache; pass cache_size > 0 alongside hot_pairs"
-            )
+        #: The result cache, hot-pair tracker and deadline admission
+        #: every batch passes before and after dispatch.
+        self._front = BatchFront(
+            cache_size, hot_pairs, deadline_ms, workers, logger
+        )
         #: The pool's result ring while it runs; ``None`` when stopped
         #: or on the pipe fallback.  Every batch message and every
         #: spawned worker carries its spec.
@@ -524,15 +508,6 @@ class QueryService:
         self.cache_size = cache_size
         self.hot_pairs = hot_pairs
         self.deadline_ms = deadline_ms
-        self._hot = HotPairTracker() if hot_pairs else None
-        self._cache = (
-            ResultCache(cache_size, self._hot) if cache_size else None
-        )
-        self._admission = (
-            DeadlineAdmission(deadline_ms, workers)
-            if deadline_ms is not None
-            else None
-        )
         #: Snapshot-epoch stamp for cache entries.  Distinct from the
         #: per-run ``_epoch`` fence: it advances only when the served
         #: snapshot is retired (``swap_snapshot``), at which point every
@@ -792,7 +767,6 @@ class QueryService:
         self._epoch += 1
         epoch = self._epoch
         wire = [_wire_query(query) for query in queries]
-        total = len(wire)
         started = time.perf_counter()
         stats = [
             WorkerStats(
@@ -806,65 +780,8 @@ class QueryService:
             "dispatch_seconds": 0.0, "pipe_bytes": 0, "result_batches": 0,
         }
 
-        # ---- cache lookup + within-batch dedup (before any dispatch) --
-        cache_hits = 0
-        precomputed_hits = 0
-        shed_indices: list[int] = []
-        keys: list | None = None
-        #: leader position -> positions of identical queries this batch.
-        duplicates: dict[int, list[int]] = {}
-        if self._cache is not None:
-            keys = [canonical_query_key(*triple) for triple in wire]
-            if self._hot is not None:
-                for key in keys:
-                    self._hot.observe(key)
-            full_answers: list[float] = [float("nan")] * total
-            first_seen: dict = {}
-            dispatch_positions: list[int] = []
-            for position, key in enumerate(keys):
-                hit = self._cache.get(key, self._snapshot_epoch)
-                if hit is not None:
-                    full_answers[position], was_precomputed = hit
-                    cache_hits += 1
-                    if was_precomputed:
-                        precomputed_hits += 1
-                    continue
-                leader = first_seen.get(key)
-                if leader is not None:
-                    duplicates.setdefault(leader, []).append(position)
-                else:
-                    first_seen[key] = position
-                    dispatch_positions.append(position)
-        else:
-            # Sized for the scatter path, which an admission-only
-            # configuration (sheds without a cache) still takes.
-            full_answers = [float("nan")] * total
-            dispatch_positions = list(range(total))
-
-        # ---- deadline admission: shed what cannot make the budget ----
-        if self._admission is not None and dispatch_positions:
-            admitted = self._admission.admit(len(dispatch_positions))
-            if admitted < len(dispatch_positions):
-                for position in dispatch_positions[admitted:]:
-                    shed_indices.append(position)
-                    # A duplicate of a shed leader is the same query:
-                    # it is shed with it, never silently answered NaN.
-                    shed_indices.extend(duplicates.pop(position, ()))
-                dispatch_positions = dispatch_positions[:admitted]
-                shed_indices.sort()
-                logger.info(
-                    "shed %d queries, admitted %d (deadline %g ms)",
-                    len(shed_indices), admitted, self._admission.deadline_ms,
-                )
-
-        # ``identity`` means the fast pre-dispatch stages passed every
-        # query through untouched — the v2/v3 hot path, zero extra
-        # copies or scatters.
-        identity = self._cache is None and not shed_indices
-        if identity:
-            compact_wire = wire
-        else:
-            compact_wire = [wire[position] for position in dispatch_positions]
+        batch = self._front.admit(wire, self._snapshot_epoch)
+        compact_wire = batch.wire
         n_dispatch = len(compact_wire)
         errors: list[str | None] = [None] * n_dispatch
 
@@ -907,58 +824,26 @@ class QueryService:
             answers[:] = answer_buf.tolist()
             latencies[:] = latency_buf.tolist()
 
-        if not identity:
-            # Scatter the compact results back to input positions, fan
-            # the leaders' outcomes out to their duplicates, and fill
-            # the cache with every successful fresh answer.
-            full_latencies = [0.0] * total
-            full_errors: list[str | None] = [None] * total
-            for index, position in enumerate(dispatch_positions):
-                full_answers[position] = answers[index]
-                full_latencies[position] = latencies[index]
-                full_errors[position] = errors[index]
-            for leader, positions in duplicates.items():
-                for position in positions:
-                    full_answers[position] = full_answers[leader]
-                    full_errors[position] = full_errors[leader]
-                    cache_hits += 1
-            if self._cache is not None:
-                for index, position in enumerate(dispatch_positions):
-                    if errors[index] is None:
-                        self._cache.put(
-                            keys[position],
-                            answers[index],
-                            self._snapshot_epoch,
-                        )
-            answers = full_answers
-            latencies = full_latencies
-            errors = full_errors
-        if self._admission is not None and n_dispatch:
-            self._admission.observe(
-                n_dispatch, sum(s.busy_seconds for s in stats)
-            )
-        wall = time.perf_counter() - started
+        lanes = self._front.finish(
+            batch, answers, latencies, errors,
+            sum(s.busy_seconds for s in stats),
+        )
         report = ServeReport(
-            answers=answers,
-            latencies=latencies,
-            wall_seconds=wall,
+            wall_seconds=time.perf_counter() - started,
             workers=self.workers,
             per_worker=stats,
             restarts=sum(s.restarts for s in stats),
-            errors=errors,
             result_plane="shm" if ring is not None else "pipe",
             dispatch_seconds=metrics["dispatch_seconds"],
             pipe_bytes=metrics["pipe_bytes"],
             result_batches=metrics["result_batches"],
-            cache_hits=cache_hits,
-            precomputed_hits=precomputed_hits,
-            shed_indices=shed_indices,
+            **lanes,
         )
         # Idle-gap work: the batch is answered and the tracker has fresh
         # skew evidence — deal the hottest uncached pairs to the idle
         # pool now and return; the next call harvests the answers, so
         # the *next* run's hot traffic is a dict lookup.
-        if self._hot is not None:
+        if self._front.hot is not None:
             self.refresh_hot_pairs()
         return report
 
@@ -981,8 +866,7 @@ class QueryService:
         """
         self._settle_refresh()
         self._snapshot_epoch += 1
-        if self._cache is not None:
-            self._cache.retire_older_than(self._snapshot_epoch)
+        self._front.retire_older_than(self._snapshot_epoch)
         logger.info(
             "retired snapshot epoch %d; now serving epoch %d",
             self._snapshot_epoch - 1, self._snapshot_epoch,
@@ -1132,10 +1016,10 @@ class QueryService:
         Returns the number of pairs dispatched.
         """
         self._settle_refresh()
-        if self._hot is None or self._cache is None or not self._started:
+        if self._front.hot is None or not self._started:
             return 0
         budget = self.hot_pairs if limit is None else limit
-        hot_keys = self._hot.top(budget)
+        hot_keys = self._front.hot.top(budget)
         if not hot_keys:
             return 0
         wire = [
@@ -1185,7 +1069,7 @@ class QueryService:
         for key, answer, message in zip(
             refresh.keys, answers.tolist(), errors
         ):
-            if message is None and self._cache.put(
+            if message is None and self._front.cache.put(
                 key, answer, refresh.snapshot_epoch, precomputed=True
             ):
                 self._precomputed_total += 1
@@ -1198,16 +1082,12 @@ class QueryService:
 
     def cache_stats(self) -> dict | None:
         """Snapshot of the result-cache counters; ``None`` if disabled."""
-        if self._cache is None:
-            return None
         self._settle_refresh()
-        return self._cache.stats()
+        return self._front.cache_stats()
 
     def admission_stats(self) -> dict | None:
         """Snapshot of the load-shedder counters; ``None`` if disabled."""
-        if self._admission is None:
-            return None
-        return self._admission.stats()
+        return self._front.admission_stats()
 
     def _batch_message(self, batch_id, chunk) -> tuple:
         """The wire form of one chunk, carrying the pool's ring spec."""

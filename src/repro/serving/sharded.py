@@ -55,11 +55,11 @@ matrix min).  Answers are bitwise-identical to the scalar heap walk
 :class:`~repro.sharding.oracle.ShardedOracle` stitches with on every
 graph the parity suite runs.
 
-The dispatcher-level ``cache_size`` / ``deadline_ms`` knobs mirror the
-unsharded service: result-cache entries are stamped with the *sum* of
-the shard pools' snapshot epochs (so retiring any shard's snapshot
-invalidates every cached stitched answer), and deadline admission sheds
-whole input queries before any leg is planned.
+Input queries pass a :class:`~repro.serving.cache.BatchFront`
+(``cache_size`` / ``deadline_ms``), as in the unsharded service, before
+any leg is planned.  Its cache stamps entries with the *sum* of the
+shard pools' snapshot epochs, so retiring any shard's snapshot
+invalidates every cached stitched answer.
 
 Error semantics match the unsharded plane: a poison endpoint yields a
 NaN answer and a ``"QueryError: ..."`` message (same text the worker
@@ -70,13 +70,13 @@ inbound → repairs order.
 
 from __future__ import annotations
 
+import logging
 import time
 from pathlib import Path
 from collections.abc import Sequence
 
 from repro.oracle.parallel import latency_percentile
-from repro.serving.admission import DeadlineAdmission
-from repro.serving.cache import ResultCache, canonical_query_key
+from repro.serving.cache import BatchFront, canonical_query_key
 from repro.serving.service import (
     QueryService,
     ServeReport,
@@ -91,6 +91,8 @@ from repro.sharding.snapshot import (
     load_shard_reach,
 )
 
+logger = logging.getLogger(__name__)
+
 #: Cross-batch repaired-row memo entries kept per service (each entry
 #: is one shard's full border matrix under one failure set); after each
 #: batch the least recently used entries beyond it are dropped.
@@ -101,14 +103,11 @@ class _QueryPlan:
     """Routing decision for one input query (leg references by index)."""
 
     __slots__ = (
-        "error", "shard_s", "shard_t", "local", "out_legs", "in_legs",
-        "repairs", "cross_failed", "cross_shard",
+        "error", "local", "out_legs", "in_legs", "repairs", "cross_failed",
     )
 
     def __init__(self) -> None:
         self.error: str | None = None
-        self.shard_s = -1
-        self.shard_t = -1
         #: ``(shard, leg index)`` of the local leg, or ``None``.
         self.local: tuple[int, int] | None = None
         #: ``[(border, (shard, leg index)), ...]`` source-side legs.
@@ -121,7 +120,6 @@ class _QueryPlan:
         #: the cross-batch memo).
         self.repairs: list[tuple[int, tuple]] = []
         self.cross_failed = frozenset()
-        self.cross_shard = False
 
     def patch_key(self) -> tuple:
         """Hashable failure-patch signature (groups the frozen stitch)."""
@@ -199,9 +197,8 @@ class ShardedQueryService:
     ) -> None:
         if workers_per_shard < 1:
             raise ValueError("workers_per_shard must be >= 1")
-        if cache_size < 0:
-            raise ValueError("cache_size must be >= 0")
         self.snapshot_dir = str(snapshot_dir)
+        # Reads the manifest and closes it again.
         overlay, meta, shard_paths = load_shard_plan_overlay(
             snapshot_dir, verify=verify
         )
@@ -214,7 +211,12 @@ class ShardedQueryService:
         self.meta = meta
         self.shards = overlay.parts
         self.workers_per_shard = workers_per_shard
-        self._frozen = load_frozen_overlay(snapshot_dir, verify=verify)
+        self.cache_size = cache_size
+        self.deadline_ms = deadline_ms
+        self._front = BatchFront(
+            cache_size, deadline_ms=deadline_ms, workers=self.workers,
+            log=logger,
+        )
         self._services = [
             QueryService(
                 path,
@@ -228,19 +230,14 @@ class ShardedQueryService:
             for path in shard_paths
         ]
         self._started = False
-        self.cache_size = cache_size
-        self.deadline_ms = deadline_ms
-        self._cache = ResultCache(cache_size) if cache_size else None
-        self._admission = (
-            DeadlineAdmission(deadline_ms, self.workers)
-            if deadline_ms is not None
-            else None
-        )
         #: ``(shard, canonical F_k) -> resolved float rows`` — repaired
         #: border matrices carried across batches, in recency order.
         #: Cleared whenever any shard's snapshot epoch retires (the
         #: rows embed that shard's answers).
         self._repair_memo: dict[tuple, list[list[float]]] = {}
+        # Last: the mapping this holds open is released only by stop(),
+        # so nothing after it may raise.
+        self._frozen = load_frozen_overlay(snapshot_dir, verify=verify)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -313,22 +310,17 @@ class ShardedQueryService:
         for service in self._services:
             service.retire_snapshot_epoch()
         epoch = self.snapshot_epoch
-        if self._cache is not None:
-            self._cache.retire_older_than(epoch)
+        self._front.retire_older_than(epoch)
         self._repair_memo.clear()
         return epoch
 
     def cache_stats(self) -> dict | None:
         """Dispatcher cache counters, or ``None`` when disabled."""
-        if self._cache is None:
-            return None
-        return self._cache.stats()
+        return self._front.cache_stats()
 
     def admission_stats(self) -> dict | None:
         """Admission-control state, or ``None`` when disabled."""
-        if self._admission is None:
-            return None
-        return self._admission.stats()
+        return self._front.admission_stats()
 
     # ------------------------------------------------------------------
     # Routing
@@ -408,24 +400,22 @@ class ShardedQueryService:
             except Exception as exc:
                 plan.error = f"{type(exc).__name__}: {exc}"
                 continue
-            plan.shard_s = assignment[source]
-            plan.shard_t = assignment[target]
-            plan.cross_shard = plan.shard_s != plan.shard_t
+            shard_s, shard_t = assignment[source], assignment[target]
             plan.cross_failed = cross_failed
-            f_s = per_shard.get(plan.shard_s, frozenset())
-            f_t = per_shard.get(plan.shard_t, frozenset())
-            if not plan.cross_shard:
-                plan.local = leg(plan.shard_s, source, target, f_s)
-            borders_s = overlay.shard_borders[plan.shard_s]
-            borders_t = overlay.shard_borders[plan.shard_t]
+            f_s = per_shard.get(shard_s, frozenset())
+            f_t = per_shard.get(shard_t, frozenset())
+            if shard_s == shard_t:
+                plan.local = leg(shard_s, source, target, f_s)
+            borders_s = overlay.shard_borders[shard_s]
+            borders_t = overlay.shard_borders[shard_t]
             if not borders_s or not borders_t:
                 continue  # local answer (or inf) is already exact
             plan.out_legs = [
-                (border, leg(plan.shard_s, source, border, f_s))
+                (border, leg(shard_s, source, border, f_s))
                 for border in borders_s
             ]
             plan.in_legs = [
-                (border, leg(plan.shard_t, border, target, f_t))
+                (border, leg(shard_t, border, target, f_t))
                 for border in borders_t
             ]
             for shard in overlay.shards_touched(per_shard):
@@ -450,7 +440,6 @@ class ShardedQueryService:
         started = time.perf_counter()
         self.start()
         wire = [_wire_query(query) for query in queries]
-        total = len(wire)
         assignment = self.overlay.assignment
         cross_flags = [
             source in assignment
@@ -459,51 +448,9 @@ class ShardedQueryService:
             for source, target, _ in wire
         ]
 
-        # ---- cache lookup + within-batch dedup + deadline shedding ---
-        # (mirrors QueryService.run — the knobs compose identically).
-        cache_hits = 0
-        precomputed_hits = 0
-        shed_indices: list[int] = []
-        duplicates: dict[int, list[int]] = {}
-        keys: list | None = None
-        full_answers: list[float] = [float("nan")] * total
-        if self._cache is not None:
-            keys = [canonical_query_key(*triple) for triple in wire]
-            epoch = self.snapshot_epoch
-            first_seen: dict = {}
-            dispatch_positions: list[int] = []
-            for position, key in enumerate(keys):
-                hit = self._cache.get(key, epoch)
-                if hit is not None:
-                    full_answers[position], was_precomputed = hit
-                    cache_hits += 1
-                    if was_precomputed:
-                        precomputed_hits += 1
-                    continue
-                leader = first_seen.get(key)
-                if leader is not None:
-                    duplicates.setdefault(leader, []).append(position)
-                else:
-                    first_seen[key] = position
-                    dispatch_positions.append(position)
-        else:
-            dispatch_positions = list(range(total))
-        if self._admission is not None and dispatch_positions:
-            admitted = self._admission.admit(len(dispatch_positions))
-            if admitted < len(dispatch_positions):
-                for position in dispatch_positions[admitted:]:
-                    shed_indices.append(position)
-                    shed_indices.extend(duplicates.pop(position, ()))
-                dispatch_positions = dispatch_positions[:admitted]
-                shed_indices.sort()
-        identity = self._cache is None and not shed_indices
-        compact_wire = (
-            wire if identity
-            else [wire[position] for position in dispatch_positions]
-        )
-        n_dispatch = len(compact_wire)
+        batch = self._front.admit(wire, self.snapshot_epoch)
 
-        plans, shard_legs, repair_refs = self._plan_queries(compact_wire)
+        plans, shard_legs, repair_refs = self._plan_queries(batch.wire)
         reports: list[ServeReport | None] = [None] * self.shards
         for shard, legs in enumerate(shard_legs):
             if legs:
@@ -523,62 +470,24 @@ class ShardedQueryService:
         while len(memo) > _REPAIR_MEMO_LIMIT:
             del memo[next(iter(memo))]
 
-        # ---- scatter back + cache fill (compact -> input positions) --
-        if not identity:
-            full_latencies = [0.0] * total
-            full_errors: list[str | None] = [None] * total
-            for index, position in enumerate(dispatch_positions):
-                full_answers[position] = answers[index]
-                full_latencies[position] = latencies[index]
-                full_errors[position] = errors[index]
-            for leader, positions in duplicates.items():
-                for position in positions:
-                    full_answers[position] = full_answers[leader]
-                    full_errors[position] = full_errors[leader]
-                    cache_hits += 1
-            if self._cache is not None:
-                epoch = self.snapshot_epoch
-                for index, position in enumerate(dispatch_positions):
-                    if errors[index] is None:
-                        self._cache.put(keys[position], answers[index], epoch)
-            answers = full_answers
-            latencies = full_latencies
-            errors = full_errors
-
         # Aggregate the shard pools' accounting into one report.
-        per_worker = []
-        restarts = 0
-        dispatch_seconds = 0.0
-        pipe_bytes = 0
-        result_batches = 0
-        busy_seconds = 0.0
-        planes = set()
-        for report in reports:
-            if report is None:
-                continue
-            restarts += report.restarts
-            dispatch_seconds += report.dispatch_seconds
-            pipe_bytes += report.pipe_bytes
-            result_batches += report.result_batches
-            planes.add(report.result_plane)
-            per_worker.extend(report.per_worker)
+        done = [report for report in reports if report is not None]
+        per_worker = [stats for report in done for stats in report.per_worker]
         for slot, stats in enumerate(per_worker):
             stats.index = slot
-            busy_seconds += stats.busy_seconds
-        if self._admission is not None and n_dispatch:
-            self._admission.observe(n_dispatch, busy_seconds)
+        lanes = self._front.finish(
+            batch, answers, latencies, errors,
+            sum(stats.busy_seconds for stats in per_worker),
+        )
 
         # Same-shard vs cross-shard latency split over the queries that
         # were actually stitched this run (cache hits and sheds carry
         # no stitch latency and would only dilute the percentiles).
         split: dict[str, dict] = {}
-        planned = (
-            range(total) if identity else dispatch_positions
-        )
         for label, wanted in (("same_shard", False), ("cross_shard", True)):
             lane = [
-                latencies[position]
-                for position in planned
+                lanes["latencies"][position]
+                for position in batch.positions
                 if cross_flags[position] is wanted
             ]
             if lane:
@@ -589,24 +498,20 @@ class ShardedQueryService:
                 }
         cross = sum(1 for flag in cross_flags if flag)
         return ServeReport(
-            answers=answers,
-            latencies=latencies,
             wall_seconds=time.perf_counter() - started,
             workers=self.workers,
             per_worker=per_worker,
-            restarts=restarts,
-            errors=errors,
-            result_plane="pipe" if not planes else (
-                "shm" if planes == {"shm"} else "pipe"
+            restarts=sum(report.restarts for report in done),
+            result_plane=(
+                "shm" if {report.result_plane for report in done} == {"shm"}
+                else "pipe"
             ),
-            dispatch_seconds=dispatch_seconds,
-            pipe_bytes=pipe_bytes,
-            result_batches=result_batches,
-            cache_hits=cache_hits,
-            precomputed_hits=precomputed_hits,
-            shed_indices=shed_indices,
+            dispatch_seconds=sum(report.dispatch_seconds for report in done),
+            pipe_bytes=sum(report.pipe_bytes for report in done),
+            result_batches=sum(report.result_batches for report in done),
+            **lanes,
             shards=self.shards,
-            cross_shard_ratio=(cross / total) if wire else 0.0,
+            cross_shard_ratio=(cross / len(wire)) if wire else 0.0,
             shard_loads=[len(legs) for legs in shard_legs],
             repair_legs=_repair_only_legs(plans, repair_refs),
             stitch_seconds=stitch_seconds,

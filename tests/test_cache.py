@@ -22,15 +22,16 @@ load shedding.  The load-bearing properties:
 
 from __future__ import annotations
 
+import gc
 import heapq
 import logging
 import math
 import random
+import struct
 import sys
-import tempfile
 import threading
 import time
-from pathlib import Path
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +41,7 @@ from repro.oracle.adiso_p import ADISOPartial
 from repro.oracle.base import canonical_failure_key
 from repro.oracle.diso import DISO
 from repro.oracle.diso_s import DISOSparse
+from repro.graph.generators import grid_network
 from repro.oracle.snapshot import save_snapshot
 from repro.serving import (
     DeadlineAdmission,
@@ -47,8 +49,10 @@ from repro.serving import (
     HotPairTracker,
     QueryService,
     ResultCache,
+    ShardedQueryService,
     canonical_query_key,
 )
+from repro.sharding import build_sharded, save_sharded_snapshot
 from repro.workload.queries import generate_queries, generate_zipf_queries
 from util import random_failures_from, random_graph
 
@@ -533,7 +537,7 @@ def test_swap_snapshot_retires_cached_answers(tmp_path):
         assert after.answers == expected_b
         assert after.cache_hits == 0
         # And entries re-cached after the swap carry the new epoch only.
-        assert service._cache.entry_epochs() <= {new_epoch}
+        assert service._front.cache.entry_epochs() <= {new_epoch}
 
 
 def test_retire_epoch_alone_invalidates_without_restart(tmp_path):
@@ -543,9 +547,9 @@ def test_retire_epoch_alone_invalidates_without_restart(tmp_path):
     batch = generate_queries(graph, 10, f_gen=2, p=0.01, seed=3)
     with make_service(path, workers=1, cache_size=64) as service:
         service.run(batch)
-        assert len(service._cache) > 0
+        assert len(service._front.cache) > 0
         service.retire_snapshot_epoch()
-        assert len(service._cache) == 0
+        assert len(service._front.cache) == 0
         rerun = service.run(batch)
         assert rerun.cache_hits == 0
         assert rerun.errors == [None] * len(batch)
@@ -559,7 +563,7 @@ def test_error_answers_are_never_cached(tmp_path):
     with make_service(path, workers=1, cache_size=64) as service:
         first = service.run([poison])
         assert first.error_count == 1
-        assert len(service._cache) == 0
+        assert len(service._front.cache) == 0
         # The repeat is a fresh miss that fails again — not a NaN hit.
         second = service.run([poison])
         assert second.error_count == 1
@@ -596,9 +600,9 @@ def test_shed_then_cache_still_consistent(tmp_path):
     ) as service:
         shed_run = service.run(batch)
         assert shed_run.shed_count == len(batch)
-        assert len(service._cache) == 0
+        assert len(service._front.cache) == 0
         # Lift the deadline: the same service answers everything.
-        service._admission = None
+        service._front.admission = None
         full = service.run(batch)
     assert full.answers == expected
     assert full.shed_count == 0
@@ -641,7 +645,7 @@ def test_refresh_hot_pairs_precomputes_unseen_answers(tmp_path):
         service.start()
         key = canonical_query_key(*target_query)
         for _ in range(8):
-            service._hot.observe(key)
+            service._front.hot.observe(key)
         stored = service.refresh_hot_pairs()
         assert stored == 1
         assert service.precomputed_total == 1
@@ -671,7 +675,7 @@ def test_refresh_hot_pairs_with_shm_plane(tmp_path):
         assert ring is not None  # one ring for the pool's lifetime
         key = canonical_query_key(*target_query)
         for _ in range(8):
-            service._hot.observe(key)
+            service._front.hot.observe(key)
         stored = service.refresh_hot_pairs()
         assert stored == 1
         assert service.precomputed_total == 1
@@ -689,17 +693,6 @@ def test_refresh_hot_pairs_with_shm_plane(tmp_path):
         assert report.cache_hits == 1
         assert report.precomputed_hits == 1
         assert service._ring is ring
-
-
-def test_cache_knob_validation():
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "o.dsosnap"
-        with pytest.raises(ValueError):
-            QueryService(path, workers=1, cache_size=-1)
-        with pytest.raises(ValueError):
-            QueryService(path, workers=1, deadline_ms=-2.0)
-        with pytest.raises(ValueError, match="hot_pairs"):
-            QueryService(path, workers=1, hot_pairs=4)  # no cache
 
 
 def test_stats_accessors_none_when_disabled(tmp_path):
@@ -730,7 +723,7 @@ def _pending_refresh_setup(tmp_path, seed):
 def _make_hot(service, query, times: int = 8) -> None:
     key = canonical_query_key(*query)
     for _ in range(times):
-        service._hot.observe(key)
+        service._front.hot.observe(key)
 
 
 def test_pending_refresh_never_outlives_its_snapshot_epoch(tmp_path):
@@ -759,14 +752,14 @@ def test_pending_refresh_never_outlives_its_snapshot_epoch(tmp_path):
         assert service._refresh is not None  # dealt, not yet harvested
         retired = service.snapshot_epoch
         new_epoch = service.swap_snapshot(path_b)
-        assert retired not in service._cache.entry_epochs()
+        assert retired not in service._front.cache.entry_epochs()
         # The swap harvested the refresh before retiring its epoch.
         assert service.precomputed_total == 1
         report = service.run(queries)
         assert report.answers == expected_b
         assert report.precomputed_hits == 0
-        assert retired not in service._cache.entry_epochs()
-        assert service._cache.entry_epochs() <= {new_epoch}
+        assert retired not in service._front.cache.entry_epochs()
+        assert service._front.cache.entry_epochs() <= {new_epoch}
 
 
 def test_refresh_hang_stays_off_the_request_path(tmp_path):
@@ -811,7 +804,7 @@ def test_worker_crash_during_pending_refresh(tmp_path):
         assert service.total_restarts == restarts + 1
         assert not any(
             math.isnan(answer)
-            for answer, _, _ in service._cache._entries.values()
+            for answer, _, _ in service._front.cache._entries.values()
         )
 
 
@@ -885,7 +878,7 @@ def test_refresh_deals_the_reference_selection(tmp_path):
             path_a, workers=1, cache_size=8, hot_pairs=3
         ) as service:
             reference = ReferenceTracker()
-            tracker = service._hot
+            tracker = service._front.hot
             observe, top = tracker.observe, tracker.top
 
             def observe_both(key):
@@ -893,7 +886,7 @@ def test_refresh_deals_the_reference_selection(tmp_path):
                 reference.observe(key)
 
             def spy(k):
-                cached = frozenset(service._cache._entries)
+                cached = frozenset(service._front.cache._entries)
                 expected = reference.top(k, cached.__contains__)
                 chosen = expected if use_reference else top(k)
                 dealt.append((chosen, expected))
@@ -915,3 +908,143 @@ def test_refresh_deals_the_reference_selection(tmp_path):
     _, reference_stats, reference_precomputed = serve(use_reference=True)
     assert stats == reference_stats
     assert precomputed == reference_precomputed
+
+
+# ----------------------------------------------------------------------
+# One front end for both services
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def grid_snapshots(tmp_path_factory):
+    """A unit grid served whole and cut in two shards.
+
+    Unit weights make float addition exact, so the stitched answers are
+    bitwise those of the whole-graph oracle.
+    """
+    graph = grid_network(5, 5)
+    root = tmp_path_factory.mktemp("front")
+    whole = save_snapshot(DISO(graph, tau=3).freeze(), root / "whole.dsosnap")
+    sharded = save_sharded_snapshot(
+        build_sharded(graph, 2, seed=1), root / "sharded"
+    )
+    return whole, sharded
+
+
+def _open(sharded: bool, grid_snapshots, **knobs):
+    whole, shards = grid_snapshots
+    if sharded:
+        return ShardedQueryService(shards, **knobs)
+    return make_service(whole, **knobs)
+
+
+BOTH = pytest.mark.parametrize(
+    "sharded", [False, True], ids=["QueryService", "ShardedQueryService"]
+)
+
+
+@BOTH
+def test_knob_validation(sharded, grid_snapshots):
+    workers = "workers_per_shard" if sharded else "workers"
+    bad = [
+        {workers: 0},
+        {"cache_size": -1},
+        {"deadline_ms": -2.0},
+        {"deadline_ms": 0.0},
+    ]
+    for knobs in bad:
+        with pytest.raises(ValueError):
+            _open(sharded, grid_snapshots, **knobs)
+    if not sharded:
+        with pytest.raises(ValueError):
+            _open(sharded, grid_snapshots, hot_pairs=-1, cache_size=4)
+        with pytest.raises(ValueError, match="hot_pairs"):
+            _open(sharded, grid_snapshots, hot_pairs=4)  # no cache
+
+
+@pytest.mark.parametrize(
+    "knobs", [{"deadline_ms": -2.0}, {"start_method": "bogus"}],
+    ids=["deadline", "start-method"],
+)
+def test_rejected_sharded_service_leaves_no_file_open(knobs, grid_snapshots):
+    """A constructor that raises must not keep the manifest mapped: the
+    unclosed file would surface as a ResourceWarning, which fails here."""
+
+    def construct() -> None:
+        with pytest.raises(ValueError):
+            ShardedQueryService(grid_snapshots[1], **knobs)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        construct()  # the traceback and the half-built service die here
+        gc.collect()
+    leaks = [
+        str(warning.message)
+        for warning in caught
+        if issubclass(warning.category, ResourceWarning)
+    ]
+    assert leaks == []
+
+
+def test_both_services_answer_one_batch_alike(grid_snapshots, caplog):
+    """Cache hits, dedup, sheds and errors come out the same whether the
+    batch is served whole or stitched from shards."""
+    poison = (999, 0, None)
+    earlier = [(0, 24, None), (24, 3, ((12, 13),))]
+    # Capacity at the starting estimate of 100 us a query: 4 leaders
+    # (0.25 ms a worker over 2 workers).  Leaders (1, 20), (5, 19),
+    # the poison and (2, 22) are admitted; (7, 17) is the fifth and is
+    # shed together with its duplicate.
+    batch = [
+        earlier[0],
+        (1, 20, None), (1, 20, None),
+        (5, 19, ((6, 7), (10, 11))),
+        poison,
+        (2, 22, None),
+        (7, 17, None), (7, 17, None),
+        earlier[1],
+    ]
+    caplog.set_level(logging.INFO)
+    outcomes = []
+    for sharded in (False, True):
+        knobs = {"cache_size": 64, "deadline_ms": 0.25}
+        if sharded:
+            knobs["workers_per_shard"] = 1
+        else:
+            knobs["workers"] = 2
+        with _open(sharded, grid_snapshots, **knobs) as service:
+            assert service.workers == 2
+            # The earlier run fills the cache; admission sits it out so
+            # its busy time does not move the estimate.
+            admission = service._front.admission
+            service._front.admission = None
+            assert service.run(earlier).error_count == 0
+            service._front.admission = admission
+            caplog.clear()
+            report = service.run(batch)
+            sheds = [
+                record for record in caplog.records
+                if record.getMessage().startswith("shed ")
+            ]
+            outcomes.append((report, service.cache_stats(), sheds))
+    (whole, whole_stats, whole_sheds), (split, split_stats, split_sheds) = (
+        outcomes
+    )
+
+    def bits(answers):
+        return [struct.pack("<d", answer) for answer in answers]
+
+    assert bits(split.answers) == bits(whole.answers)
+    assert split.errors == whole.errors
+    assert split.statuses == whole.statuses == [
+        "ok", "ok", "ok", "ok", "error", "ok", "shed", "shed", "ok",
+    ]
+    assert split.shed_indices == whole.shed_indices == [6, 7]
+    assert split.cache_hits == whole.cache_hits == 3
+    assert split.precomputed_hits == whole.precomputed_hits == 0
+    assert split_stats == whole_stats
+    for sheds, name in (
+        (whole_sheds, "repro.serving.service"),
+        (split_sheds, "repro.serving.sharded"),
+    ):
+        assert [(r.name, r.levelno, r.getMessage()) for r in sheds] == [
+            (name, logging.INFO, "shed 2 queries, admitted 4 (deadline 0.25 ms)")
+        ]

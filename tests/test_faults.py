@@ -336,7 +336,7 @@ class TestCacheUnderFaults:
             other, other_expected = fresh_batch(served, seed=61)
             second = service.run(other)
             assert second.answers == other_expected
-            assert service._cache.entry_epochs() <= {
+            assert service._front.cache.entry_epochs() <= {
                 service.snapshot_epoch
             }
             # Warm re-run of both batches: pure cache, same answers.
@@ -365,12 +365,12 @@ class TestCacheUnderFaults:
             retired = service.snapshot_epoch
             live = service.retire_snapshot_epoch()
             assert live == retired + 1
-            assert len(service._cache) == 0
+            assert len(service._front.cache) == 0
             report = service.run(batch)
             assert report.answers == expected
             assert report.error_count == 0
             # No pre-retirement epoch survives anywhere in the cache.
-            assert service._cache.entry_epochs() == {live}
+            assert service._front.cache.entry_epochs() == {live}
             warm = service.run(batch)
             assert warm.answers == expected
             assert warm.cache_hits == len(batch)
@@ -435,10 +435,10 @@ class TestStartMethodParity:
             first = service.run(batch)
             assert first.answers == expected
             live = service.retire_snapshot_epoch()
-            assert len(service._cache) == 0
+            assert len(service._front.cache) == 0
             second = service.run(batch)
             assert second.answers == expected
-            assert service._cache.entry_epochs() == {live}
+            assert service._front.cache.entry_epochs() == {live}
             warm = service.run(batch)
         assert warm.answers == expected
         assert warm.cache_hits == len(batch)

@@ -485,10 +485,3 @@ class TestShardedServing:
         assert set(report.statuses) == {"shed"}
         assert all(math.isnan(answer) for answer in report.answers)
         assert report.error_count == 0
-
-    def test_bad_knobs_rejected(self, served):
-        _, _, target = served
-        with pytest.raises(ValueError):
-            ShardedQueryService(target, cache_size=-1)
-        with pytest.raises(ValueError):
-            ShardedQueryService(target, workers_per_shard=0)

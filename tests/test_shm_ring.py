@@ -335,7 +335,7 @@ class TestNoLeaks:
             path, workers=1, cache_size=64, hot_pairs=1, fault_plan=plan,
         ) as svc:
             for _ in range(8):
-                svc._hot.observe(canonical_query_key(*hot))
+                svc._front.hot.observe(canonical_query_key(*hot))
             svc.run(batch[1:])  # the refresh of ``hot`` crashes worker 0
             ring = own_ring_segments()
             assert len(ring) == 1
@@ -354,7 +354,7 @@ class TestNoLeaks:
             path, workers=2, cache_size=64, hot_pairs=2
         ) as svc:
             for _ in range(8):
-                svc._hot.observe(canonical_query_key(*hot))
+                svc._front.hot.observe(canonical_query_key(*hot))
             svc.run(batch[1:])
             assert svc._refresh is not None
             assert len(own_ring_segments()) == 1
@@ -420,7 +420,7 @@ class TestPoolRing:
         ) as svc:
             started = svc._ring.name
             for query in batch[:6]:
-                svc._hot.observe(canonical_query_key(*wire(query)))
+                svc._front.hot.observe(canonical_query_key(*wire(query)))
             assert svc.refresh_hot_pairs(limit=6) == 6
             assert svc.precomputed_total == 6
             assert svc._ring.name != started and svc._ring.capacity == 6
@@ -569,7 +569,7 @@ class TestRingExactness:
             batch_timeout=10.0,
         ) as svc:
             for _ in range(8):
-                svc._hot.observe(canonical_query_key(*hot))
+                svc._front.hot.observe(canonical_query_key(*hot))
             svc.run(batch[1:])
             tick = time.perf_counter()
             assert svc.precomputed_total == 1
@@ -601,8 +601,8 @@ class TestRingExactness:
         ) as svc:
             svc.run(request)
             for key in hot:
-                svc._hot.observe(key)
-                svc._hot.observe(key)
+                svc._front.hot.observe(key)
+                svc._front.hot.observe(key)
             svc.cache_stats()
             baseline = svc.precomputed_total
             for _ in range(300):

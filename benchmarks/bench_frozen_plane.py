@@ -7,23 +7,21 @@ workload (f_gen=5, p=0.0005).  Engines are timed in interleaved rounds
 (dict batch, frozen batch, repeat) so machine-load drift hits both
 sides equally; the reported number is the median over all rounds.
 
-Every run first asserts exact answer parity between the two planes over
-the whole batch — a benchmark of a wrong answer is worthless.
+Every run first asserts exact answer parity over the whole batch — a
+benchmark of a wrong answer is worthless.  The frozen ADISO engine is
+checked against the dict ADISO; the frozen DISO engine runs the
+bidirectional overlay search, so it is checked against the dict DISO-B
+(:class:`~repro.oracle.diso_bi.DISOBidirectional`) over the same
+transit set, bitwise.  The dict DISO row still times the forward-search
+DISO, the oracle the paper measures.
 
-The frozen DISO cells additionally time the vectorized batch kernel
-(``query_many``, :mod:`repro.oracle.batch_kernel`) against the scalar
-frozen loop on the same oracle: one scalar pass and one ``query_many``
-pass alternate within each round, and the batched number is the whole
-batch's wall clock divided by the batch size.  Batches are large
-(``BATCH_SIZE``) because the kernel's per-batch fixed costs only
-amortize at scale — at the 25-query latency batches above the kernel is
-*slower* than the scalar loop, which is why these are separate rows
-rather than a replacement.  Two workloads are timed: the paper's
-failure workload (every query carries ~5 on-path failures, keeping the
-per-rank repair machinery hot) and a failure-free workload isolating
-the sweep itself.  ADISO has no batched kernel (its merged-A* floats
-are query-state dependent; ``query_many`` falls back to the scalar
-loop), so only DISO rows exist.
+The frozen DISO cells also time CSR Dijkstra on ``G - F``
+(:func:`repro.graph.csr.csr_distance`) on the same queries, interleaved
+with the frozen engine, and report ``dijkstra_ratio``: Dijkstra's
+median per-query time over the frozen engine's.  An oracle that does
+not beat the plain search on its own queries has no reason to exist,
+so a change to the query path that leaves this ratio flat did not make
+the oracle better.
 
 Standalone usage (writes ``results/frozen_plane.txt`` and merges the
 repo-root ``BENCH_query_latency.json``; ``merge_json`` stamps
@@ -45,9 +43,11 @@ import argparse
 import statistics
 import time
 
+from repro.graph.csr import SearchArena, csr_distance
 from repro.graph.generators import road_network, scale_free_network
 from repro.oracle.adiso import ADISO
 from repro.oracle.diso import DISO
+from repro.oracle.diso_bi import DISOBidirectional
 from repro.workload.queries import generate_queries
 
 from bench_util import latency_summary, merge_latency_json, write_result
@@ -55,15 +55,6 @@ from bench_util import latency_summary, merge_latency_json, write_result
 SEED = 7
 QUERY_COUNT = 25
 ROUNDS = 10
-#: Queries per batched-kernel round — large enough to amortize the
-#: kernel's per-batch fixed costs (array setup, affected discovery).
-BATCH_SIZE = 300
-BATCH_ROUNDS = 8
-#: (row suffix, workload params) for the batched-kernel comparison.
-BATCH_WORKLOADS = (
-    ("", {"f_gen": 5, "p": 0.0005}),
-    ("-nofail", {"f_gen": 0, "p": 0.0}),
-)
 
 #: (name, builder) — both inside the paper's standard evaluation range.
 GRAPHS = (
@@ -75,9 +66,19 @@ SMOKE_GRAPHS = (
     ("scalefree-smoke", lambda: scale_free_network(100, seed=SEED)),
 )
 
+#: (name, builder, parity reference) — the reference is the dict engine
+#: whose float additions the frozen engine repeats.
 ORACLES = (
-    ("DISO", lambda g: DISO(g, tau=4, theta=1.0)),
-    ("ADISO", lambda g: ADISO(g, tau=4, theta=1.0, seed=SEED)),
+    (
+        "DISO",
+        lambda g: DISO(g, tau=4, theta=1.0),
+        lambda oracle: DISOBidirectional(oracle.graph, transit=oracle.transit),
+    ),
+    (
+        "ADISO",
+        lambda g: ADISO(g, tau=4, theta=1.0, seed=SEED),
+        lambda oracle: oracle,
+    ),
 )
 
 
@@ -91,136 +92,108 @@ def timed_batch(oracle, batch) -> list[float]:
     return samples
 
 
-def compare_planes(graph, oracle_factory, rounds: int, query_count: int):
+def timed_dijkstra(frozen_oracle, batch) -> list[float]:
+    """Per-query seconds of CSR Dijkstra on ``G - F`` over ``batch``.
+
+    Each sample includes translating ``F`` to edge ids, as the oracle's
+    does; the search reuses one arena, as the oracle's searches do.
+    """
+    frozen = frozen_oracle.frozen
+    arena = SearchArena(frozen.number_of_nodes())
+    samples = []
+    for query in batch:
+        started = time.perf_counter()
+        csr_distance(
+            frozen, query.source, query.target,
+            frozen.edge_ids(query.failed), arena,
+        )
+        samples.append(time.perf_counter() - started)
+    return samples
+
+
+def compare_planes(
+    graph, oracle_factory, reference_factory, rounds: int, query_count: int,
+    with_dijkstra: bool,
+):
     """Build dict + frozen engines, assert parity, time both.
 
-    Returns ``(dict_samples, frozen_samples, frozen_oracle)``.
+    Returns ``(dict_samples, frozen_samples, dijkstra_samples,
+    frozen_oracle)``; ``dijkstra_samples`` is empty unless
+    ``with_dijkstra``, in which case each round also times CSR
+    Dijkstra on the same batch.  Its answers are not compared: on float
+    weights they may differ from the oracle's in the last bits.
     """
     dict_oracle = oracle_factory(graph)
     frozen_oracle = dict_oracle.freeze()
+    reference = reference_factory(dict_oracle)
     batch = generate_queries(
         graph, query_count, f_gen=5, p=0.0005, seed=SEED
     )
     for query in batch:
-        expected = dict_oracle.query(query.source, query.target, query.failed)
+        expected = reference.query(query.source, query.target, query.failed)
         got = frozen_oracle.query(query.source, query.target, query.failed)
         assert got == expected, (
             f"frozen/dict mismatch on {query}: {got} != {expected}"
         )
     dict_samples: list[float] = []
     frozen_samples: list[float] = []
+    dijkstra_samples: list[float] = []
     for _ in range(rounds):
         dict_samples.extend(timed_batch(dict_oracle, batch))
         frozen_samples.extend(timed_batch(frozen_oracle, batch))
-    return dict_samples, frozen_samples, frozen_oracle
+        if with_dijkstra:
+            dijkstra_samples.extend(timed_dijkstra(frozen_oracle, batch))
+    return dict_samples, frozen_samples, dijkstra_samples, frozen_oracle
 
 
-def compare_batched(
-    frozen_oracle, graph, graph_name, rounds: int, batch_size: int
-) -> list[dict]:
-    """Scalar frozen loop vs ``query_many`` on one oracle, interleaved.
-
-    Asserts exact parity between the batched kernel and the scalar
-    loop over every workload first, then alternates one scalar pass and
-    one batched pass per round so machine drift hits both sides
-    equally.  Reports the median of per-round scalar medians against
-    the median of per-round amortized batched cost.
-    """
-    rows = []
-    for suffix, params in BATCH_WORKLOADS:
-        batch = generate_queries(graph, batch_size, seed=SEED, **params)
-        expected = [
-            frozen_oracle.query(q.source, q.target, q.failed) for q in batch
-        ]
-        got = frozen_oracle.query_many(batch)
-        assert got == expected, (
-            f"query_many/scalar mismatch on {graph_name}{suffix}"
-        )
-        scalar_medians: list[float] = []
-        amortized: list[float] = []
-        for _ in range(rounds):
-            scalar_medians.append(
-                statistics.median(timed_batch(frozen_oracle, batch))
-            )
-            started = time.perf_counter()
-            frozen_oracle.query_many(batch)
-            amortized.append(
-                (time.perf_counter() - started) / len(batch)
-            )
-        scalar_us = 1e6 * statistics.median(scalar_medians)
-        batched_us = 1e6 * statistics.median(amortized)
-        rows.append(
-            {
-                "graph": graph_name,
-                "workload": "failures" if not suffix else "no-failures",
-                "suffix": suffix,
-                "batch_size": batch_size,
-                "rounds": rounds,
-                "scalar_median_us": round(scalar_us, 3),
-                "batched_us_per_query": round(batched_us, 3),
-                "speedup": round(scalar_us / batched_us, 3),
-            }
-        )
-    return rows
-
-
-def run(
-    smoke: bool = False, rounds: int | None = None
-) -> tuple[list[dict], list[dict]]:
-    """Run every (graph, oracle) cell; return (rows, batched_rows)."""
+def run(smoke: bool = False, rounds: int | None = None) -> list[dict]:
+    """Run every (graph, oracle) cell; return one row per cell."""
     graphs = SMOKE_GRAPHS if smoke else GRAPHS
     rounds = rounds or (2 if smoke else ROUNDS)
     query_count = 10 if smoke else QUERY_COUNT
-    batch_rounds = 2 if smoke else BATCH_ROUNDS
-    batch_size = 12 if smoke else BATCH_SIZE
     rows = []
-    batched_rows = []
     for graph_name, build in graphs:
         graph = build()
-        for oracle_name, factory in ORACLES:
-            dict_s, frozen_s, frozen_oracle = compare_planes(
-                graph, factory, rounds, query_count
+        for oracle_name, factory, reference in ORACLES:
+            dict_s, frozen_s, dijkstra_s, frozen_oracle = compare_planes(
+                graph, factory, reference, rounds, query_count,
+                with_dijkstra=oracle_name == "DISO",
             )
             dict_median = statistics.median(dict_s)
             frozen_median = statistics.median(frozen_s)
-            rows.append(
-                {
-                    "graph": graph_name,
-                    "oracle": oracle_name,
-                    "dict_samples": dict_s,
-                    "frozen_samples": frozen_s,
-                    "dict_median_us": 1e6 * dict_median,
-                    "frozen_median_us": 1e6 * frozen_median,
-                    "speedup": dict_median / frozen_median,
-                    "build_s": frozen_oracle.preprocess_seconds
-                    - frozen_oracle.freeze_seconds,
-                    "freeze_s": frozen_oracle.freeze_seconds,
-                }
-            )
-            print(
+            row = {
+                "graph": graph_name,
+                "oracle": oracle_name,
+                "dict_samples": dict_s,
+                "frozen_samples": frozen_s,
+                "dict_median_us": 1e6 * dict_median,
+                "frozen_median_us": 1e6 * frozen_median,
+                "speedup": dict_median / frozen_median,
+                "build_s": frozen_oracle.preprocess_seconds
+                - frozen_oracle.freeze_seconds,
+                "freeze_s": frozen_oracle.freeze_seconds,
+            }
+            line = (
                 f"{graph_name:>16} {oracle_name:>6}: "
-                f"dict {rows[-1]['dict_median_us']:8.1f}us  "
-                f"frozen {rows[-1]['frozen_median_us']:8.1f}us  "
-                f"speedup {rows[-1]['speedup']:.2f}x  "
-                f"(freeze {rows[-1]['freeze_s']:.3f}s)"
+                f"dict {row['dict_median_us']:8.1f}us  "
+                f"frozen {row['frozen_median_us']:8.1f}us  "
+                f"speedup {row['speedup']:.2f}x  "
+                f"(freeze {row['freeze_s']:.3f}s)"
             )
-            if oracle_name == "DISO":
-                for row in compare_batched(
-                    frozen_oracle, graph, graph_name,
-                    batch_rounds, batch_size,
-                ):
-                    batched_rows.append(row)
-                    print(
-                        f"{graph_name:>16} batched{row['suffix']:<8}: "
-                        f"scalar {row['scalar_median_us']:8.1f}us  "
-                        f"batched {row['batched_us_per_query']:8.1f}us/q  "
-                        f"speedup {row['speedup']:.2f}x  "
-                        f"(B={row['batch_size']})"
-                    )
-    return rows, batched_rows
+            if dijkstra_s:
+                dijkstra_median = statistics.median(dijkstra_s)
+                row["dijkstra_median_us"] = 1e6 * dijkstra_median
+                row["dijkstra_ratio"] = dijkstra_median / frozen_median
+                line += (
+                    f"  dijkstra {row['dijkstra_median_us']:8.1f}us "
+                    f"({row['dijkstra_ratio']:.2f}x)"
+                )
+            rows.append(row)
+            print(line)
+    return rows
 
 
-def format_rows(rows: list[dict], batched_rows: list[dict]) -> str:
+def format_rows(rows: list[dict]) -> str:
     lines = [
         "Frozen query plane vs dict engines "
         "(median per-query latency, interleaved rounds)",
@@ -233,22 +206,21 @@ def format_rows(rows: list[dict], batched_rows: list[dict]) -> str:
             f"{row['dict_median_us']:>10.1f} {row['frozen_median_us']:>10.1f} "
             f"{row['speedup']:>7.2f}x {row['freeze_s']:>10.3f}"
         )
-    if batched_rows:
-        lines.append("")
-        lines.append(
-            "Vectorized batch kernel vs scalar frozen loop "
-            "(DISO, interleaved rounds, amortized over the batch)"
-        )
-        lines.append(
-            f"{'graph':>16} {'workload':>12} {'scalar(us)':>11} "
-            f"{'batched(us/q)':>14} {'speedup':>8} {'batch':>6}"
-        )
-        for row in batched_rows:
+    lines.append("")
+    lines.append(
+        "Frozen DISO vs CSR Dijkstra on G - F "
+        "(same queries, interleaved rounds)"
+    )
+    lines.append(
+        f"{'graph':>16} {'frozen(us)':>11} {'dijkstra(us)':>13} "
+        f"{'dijkstra_ratio':>15}"
+    )
+    for row in rows:
+        if "dijkstra_ratio" in row:
             lines.append(
-                f"{row['graph']:>16} {row['workload']:>12} "
-                f"{row['scalar_median_us']:>11.1f} "
-                f"{row['batched_us_per_query']:>14.1f} "
-                f"{row['speedup']:>7.2f}x {row['batch_size']:>6}"
+                f"{row['graph']:>16} {row['frozen_median_us']:>11.1f} "
+                f"{row['dijkstra_median_us']:>13.1f} "
+                f"{row['dijkstra_ratio']:>14.2f}x"
             )
     return "\n".join(lines)
 
@@ -261,11 +233,11 @@ def main() -> None:
     )
     parser.add_argument("--rounds", type=int, default=None)
     args = parser.parse_args()
-    rows, batched_rows = run(smoke=args.smoke, rounds=args.rounds)
+    rows = run(smoke=args.smoke, rounds=args.rounds)
     if args.smoke:
         print("smoke run OK (parity held on every cell)")
         return
-    write_result("frozen_plane", format_rows(rows, batched_rows))
+    write_result("frozen_plane", format_rows(rows))
     entries = {}
     for row in rows:
         build = row["build_s"]
@@ -275,31 +247,29 @@ def main() -> None:
         entries[f"{row['oracle']}-F@{row['graph']}"] = latency_summary(
             build + row["freeze_s"], row["frozen_samples"]
         )
-    for row in batched_rows:
-        entries[f"DISO-FB@{row['graph']}{row['suffix']}"] = {
-            key: row[key]
-            for key in (
-                "batch_size", "rounds", "workload",
-                "scalar_median_us", "batched_us_per_query", "speedup",
-            )
-        }
+        if "dijkstra_ratio" in row:
+            entries[f"{row['oracle']}-F/Dijkstra@{row['graph']}"] = {
+                "frozen_median_us": round(row["frozen_median_us"], 3),
+                "dijkstra_median_us": round(row["dijkstra_median_us"], 3),
+                "dijkstra_ratio": round(row["dijkstra_ratio"], 3),
+            }
     path = merge_latency_json(entries)
     print(f"wrote {path}")
-    print(format_rows(rows, batched_rows))
+    print(format_rows(rows))
 
 
 # ----------------------------------------------------------------------
 # pytest entry points (small scale; the standalone main is the real run)
 # ----------------------------------------------------------------------
 def test_frozen_plane_parity_and_speed():
-    rows, batched_rows = run(smoke=True)
+    rows = run(smoke=True)
     assert len(rows) == 4
     for row in rows:
         assert row["frozen_median_us"] > 0.0
-    # One batched row per (DISO cell, workload); parity asserted inside.
-    assert len(batched_rows) == 2 * len(BATCH_WORKLOADS)
-    for row in batched_rows:
-        assert row["batched_us_per_query"] > 0.0
+    # One Dijkstra ratio per DISO cell; parity asserted inside.
+    ratios = [row["dijkstra_ratio"] for row in rows if "dijkstra_ratio" in row]
+    assert len(ratios) == 2
+    assert all(ratio > 0.0 for ratio in ratios)
 
 
 if __name__ == "__main__":

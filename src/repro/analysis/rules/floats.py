@@ -5,8 +5,9 @@ Protocol v2 encodes a failed query's answer as NaN
 everything *including itself*, so ``answer == QUERY_ERROR`` is always
 ``False`` — code that looks like an error check and never fires.  The
 only correct tests are ``math.isnan`` or the sparse error list that
-travels beside the answers.  The batched kernel moved the sentinel
-into NumPy arrays, where the same bug wears two more disguises:
+travels beside the answers.  Answers also travel in NumPy arrays
+(the stitch plane's lanes), where the same bug wears two more
+disguises:
 ``np.equal(arr, np.nan)`` (the call form of the constant-False
 comparison) and the ``x != x`` self-comparison idiom — semantically a
 NaN test, but elementwise sentinel checks in this codebase must spell

@@ -18,12 +18,10 @@ views for different failure states can coexist and run concurrently —
 stall avoidance carries over.
 
 :func:`query_many` is the general batched entry point for *per-query*
-failure sets: on a frozen DISO/DISO-S engine it routes whole batches
-through the vectorized overlay kernel
-(:mod:`repro.oracle.batch_kernel`) with bitwise-identical answers; on
-every other oracle (including frozen ADISO, whose merged A* search is
-float-association-order dependent and therefore not batchable without
-changing answers) it degrades to the scalar loop.
+failure sets: on a frozen engine it calls the engine's own
+``query_many``, which runs the scalar search per query and translates
+each distinct failure set once, with bitwise-identical answers; on
+every other oracle it is the scalar loop.
 """
 
 from __future__ import annotations

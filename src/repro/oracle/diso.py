@@ -105,9 +105,12 @@ class DISO(DistanceSensitivityOracle):
         """Compile the finished index for flat-array query serving.
 
         Returns a :class:`repro.oracle.frozen.FrozenDISO` answering the
-        exact same queries from CSR-compiled structures with reusable
+        same queries exactly from CSR-compiled structures with reusable
         search arenas — the representation to serve from once the graph
-        stops changing.  The dict oracle remains usable (and is the one
+        stops changing.  Its overlay search is bidirectional, so on
+        float weights its answers equal :class:`repro.oracle.diso_bi.
+        DISOBidirectional`'s bitwise and may differ from this forward
+        search's in the last bits.  The dict oracle remains usable (and is the one
         :mod:`repro.oracle.maintenance` can update; re-freeze after
         maintenance).
 

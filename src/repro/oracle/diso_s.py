@@ -88,8 +88,11 @@ class DISOSparse(DISO):
         recomputation filter keeps removed edges removed), failures
         naming sparsified-away edges drop out during edge-id
         translation, and the Dijkstra safety net answers on the
-        *original* graph — so frozen answers match the dict path
-        exactly, including its bounded approximation error.
+        *original* graph — so frozen answers match the dict path,
+        including its bounded approximation error.  The frozen overlay
+        search is bidirectional: on float weights its answers are
+        bitwise those of DISO-S run with DISO-B's overlay search, and
+        may differ from this forward search's in the last bits.
         """
         from repro.oracle.frozen import FrozenDISO
 

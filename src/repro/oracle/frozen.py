@@ -7,12 +7,15 @@ DynDijkstra repair — over dict-of-dict structures, allocating fresh
 O(n) state per query.  ``freeze()`` compiles the finished index once
 (:class:`repro.overlay.frozen_index.FrozenIndex` + a
 :class:`repro.graph.csr.FrozenGraph` with a reverse CSR) and this module
-serves the *exact same query algorithms* from flat arrays:
+serves the queries from flat arrays:
 
 * nodes are dense indices, failures are integer edge-id sets,
   transit-stop flags are one ``bytearray`` probe;
-* the overlay search runs in dense transit-rank space over a
-  ``|T|``-sized arena;
+* the DISO overlay search is the paper's §4.1.3 bidirectional Dijkstra
+  (:meth:`FrozenDISO._overlay_search`), run in dense transit-rank
+  space over weight-sorted forward and reverse overlay rows, with a
+  per-query memo of repaired rows — the only overlay search of the
+  frozen DISO and DISO-S engines;
 * all O(n)/O(|T|) scratch state comes from generation-stamped
   :class:`~repro.graph.csr.SearchArena` instances — preallocated once,
   invalidated per query by a counter bump, never cleared;
@@ -20,10 +23,16 @@ serves the *exact same query algorithms* from flat arrays:
   paper's no-locking concurrency claim survives: concurrent queries on
   one shared frozen index never touch shared mutable state.
 
-Answer parity is exact, not approximate: every relaxation performs the
-same float additions in the same order as the dict engines, so frozen
-and dict paths return identical distances (property-tested in
-``tests/test_frozen_plane.py``).
+Answer parity is exact, not approximate.  A frozen DISO or DISO-S
+engine performs the float additions of the dict engine's bidirectional
+variant (:class:`~repro.oracle.diso_bi.DISOBidirectional`), and a
+frozen ADISO those of :class:`ADISO`, so their distances are
+``==``-equal (property-tested in ``tests/test_frozen_plane.py``).
+Against the forward-only dict :class:`DISO` a float-weight answer may
+differ in the last bits — the two searches split the same shortest
+path at different meeting nodes — and on integer weights every path
+equals Dijkstra exactly.  Batches (:meth:`FrozenDISO.query_many`) run
+the same search per query.
 """
 
 from __future__ import annotations
@@ -48,12 +57,13 @@ from repro.pathing.csr_bounded import csr_bounded_dijkstra
 class _ArenaSet:
     """Per-thread scratch state for one frozen engine."""
 
-    __slots__ = ("forward", "backward", "overlay", "search")
+    __slots__ = ("forward", "backward", "overlay", "overlay_back", "search")
 
     def __init__(self, num_nodes: int, num_transit: int) -> None:
         self.forward = SearchArena(num_nodes)
         self.backward = SearchArena(num_nodes)
         self.overlay = SearchArena(num_transit)
+        self.overlay_back = SearchArena(num_transit)
         self.search = SearchArena(num_nodes)
 
 
@@ -143,14 +153,11 @@ class FrozenDISO(DistanceSensitivityOracle):
         ``weights`` maps edge ids to new weights and ``ranks`` maps
         transit ranks to their new ``(tree, overlay_row)``; the node
         set, the CSR shape and the transit set must be unchanged.  The
-        views and the batch kernel's caches follow the patch, so the
-        engine answers bitwise as one loaded fresh from the successor.
+        views follow the patch, so the engine answers bitwise as one
+        loaded fresh from the successor.
         """
         self.frozen.set_weights(weights)
         self.index.replace_ranks(ranks)
-        kernel = getattr(self, "_kernel_cache", None)
-        if kernel is not None:
-            kernel.refresh(ranks, weights)
 
     def close(self) -> None:
         """Release the snapshot mapping this engine was loaded from.
@@ -204,41 +211,17 @@ class FrozenDISO(DistanceSensitivityOracle):
     # ------------------------------------------------------------------
     # Batched queries
     # ------------------------------------------------------------------
-    #: Whether the vectorized overlay kernel may serve this engine's
-    #: batches.  ``FrozenADISO`` opts out: the merged A* search's float
-    #: association order is query-state dependent, so a batched
-    #: Bellman-Ford overlay cannot reproduce its answers bitwise
-    #: (measured 1-2 ulp divergence on ~20% of road queries).
-    _batched_overlay = True
-
-    def _batch_kernel(self):
-        """This engine's (lazily built, cached) vectorized kernel.
-
-        ``None`` when the engine opted out — callers then take the
-        scalar loop.
-        """
-        if not self._batched_overlay:
-            return None
-        kernel = getattr(self, "_kernel_cache", None)
-        if kernel is None:
-            from repro.oracle.batch_kernel import DisoBatchKernel
-
-            kernel = DisoBatchKernel(self.frozen, self.index)
-            self._kernel_cache = kernel
-        return kernel
-
     def query_many(self, queries) -> list[float]:
         """Answer a batch of queries; same answers as the scalar loop.
 
         ``queries`` holds :class:`~repro.workload.queries.Query`
         objects or ``(source, target, failed)`` triples.  Answers are
         **bitwise identical** to ``[self.query(...) for ...]``
-        (property-tested): DISO/DISO-S batches run the vectorized
-        overlay kernel (:mod:`repro.oracle.batch_kernel`), ADISO
-        batches take the scalar loop.  An
-        invalid query raises exactly what the scalar loop would raise
-        at its position; use :meth:`answer_many` for the per-query
-        sentinel form instead.
+        (property-tested): the batch runs the scalar search per query
+        and only shares the failure translation between queries with
+        the same failure set.  An invalid query raises exactly what the
+        scalar loop would raise at its position; use
+        :meth:`answer_many` for the per-query sentinel form instead.
         """
         answers, failures = self._answer_many(queries)
         if failures:
@@ -263,59 +246,35 @@ class FrozenDISO(DistanceSensitivityOracle):
 
     def _answer_many(self, queries):
         from repro.oracle.batch import as_query_triple
-        from repro.oracle.batch_kernel import DEFAULT_BLOCK
 
         triples = [as_query_triple(query) for query in queries]
-        answers: list[float] = [float("nan")] * len(triples)
+        answers: list[float] = []
         failures: list[tuple[int, Exception]] = []
-        kernel = self._batch_kernel()
-        if kernel is None:
-            for position, (source, target, failed) in enumerate(triples):
-                try:
-                    answers[position] = self.query(
-                        source, target,
-                        frozenset(failed) if failed else None,
-                    )
-                except Exception as exc:
-                    failures.append((position, exc))
-            return answers, failures
-
-        frozen = self.frozen
-        index_of = frozen.index_of
-        prepared: list[tuple[int, int, frozenset[int]]] = []
-        slots: list[tuple[int, int, int, frozenset]] = []
+        arenas = self._arenas()
+        # A batch reports no per-query stats; one scratch record serves.
+        stats = QueryStats()
+        # Edge ids, affected ranks and repaired rows depend only on the
+        # failure set, and the legs of one sharded request all share it.
+        states: dict[frozenset, tuple] = {}
         for position, (source, target, failed) in enumerate(triples):
             try:
                 self._validate_endpoints(source, target)
                 fail_set = normalize_failures(
                     frozenset(failed) if failed else None
                 )
+                if source == target:
+                    answers.append(0.0)
+                    continue
+                state = states.get(fail_set)
+                if state is None:
+                    state = states[fail_set] = self._failure_state(fail_set)
+                answers.append(
+                    self._distance(source, target, fail_set, *state,
+                                   stats, arenas)
+                )
             except Exception as exc:
+                answers.append(float("nan"))
                 failures.append((position, exc))
-                continue
-            if source == target:
-                answers[position] = 0.0
-                continue
-            failed_ids = (
-                frozen.edge_ids(fail_set) if fail_set else frozenset()
-            )
-            prepared.append((index_of[source], index_of[target], failed_ids))
-            slots.append((position, source, target, fail_set))
-        arenas = self._arenas()
-        for start in range(0, len(prepared), DEFAULT_BLOCK):
-            block = prepared[start : start + DEFAULT_BLOCK]
-            best = kernel.run(block, arenas.forward, arenas.backward)
-            for offset, value in enumerate(best):
-                position, source, target, fail_set = slots[start + offset]
-                if value == INFINITY and self._fallback is not None:
-                    # Same DISO-S safety net as the scalar path: answer
-                    # exactly on the original graph.
-                    fallback_ids = self._fallback.edge_ids(fail_set)
-                    value = csr_distance(
-                        self._fallback, source, target, fallback_ids,
-                        arenas.search,
-                    )
-                answers[position] = float(value)
         return answers, failures
 
     # ------------------------------------------------------------------
@@ -331,55 +290,85 @@ class FrozenDISO(DistanceSensitivityOracle):
         fail_set = normalize_failures(failed)
         stats = QueryStats()
         started = time.perf_counter()
-        if source == target:
-            stats.total_seconds = time.perf_counter() - started
-            return QueryResult(distance=0.0, stats=stats)
+        distance = 0.0
+        if source != target:
+            arenas = self._arenas()
+            distance = self._distance(
+                source, target, fail_set, *self._failure_state(fail_set),
+                stats, arenas,
+            )
+        stats.total_seconds = time.perf_counter() - started
+        return QueryResult(distance=distance, stats=stats)
 
-        arenas = self._arenas()
+    def _failure_state(
+        self, fail_set: frozenset[Edge]
+    ) -> tuple[frozenset[int], set[int], dict[int, tuple]]:
+        """What depends on ``F`` alone: its edge ids, the transit ranks
+        whose trees it hits, and an empty store for their repaired
+        rows (filled by :meth:`_overlay_search`)."""
+        failed_ids = (
+            self.frozen.edge_ids(fail_set) if fail_set else frozenset()
+        )
+        return failed_ids, self.index.affected_ranks(failed_ids), {}
+
+    def _access(
+        self,
+        source: int,
+        target: int,
+        failed_ids: frozenset[int],
+        stats: QueryStats,
+        arenas: _ArenaSet,
+    ):
+        """Both bounded access searches, on this thread's arenas."""
         frozen = self.frozen
-        index = self.index
-        failed_ids = frozen.edge_ids(fail_set) if fail_set else frozenset()
-        affected = index.affected_ranks(failed_ids)
-        stats.affected_count = len(affected)
-
-        source_index = frozen.index_of[source]
-        target_index = frozen.index_of[target]
+        flags = self.index.transit_flags
+        index_of = frozen.index_of
         access_start = time.perf_counter()
         forward = csr_bounded_dijkstra(
-            frozen, source_index, index.transit_flags, failed_ids,
-            "out", arenas.forward,
+            frozen, index_of[source], flags, failed_ids, "out",
+            arenas.forward,
         )
         backward = csr_bounded_dijkstra(
-            frozen, target_index, index.transit_flags, failed_ids,
-            "in", arenas.backward,
+            frozen, index_of[target], flags, failed_ids, "in",
+            arenas.backward,
         )
         stats.access_seconds = time.perf_counter() - access_start
         stats.graph_settled = forward.settled_count + backward.settled_count
+        return forward, backward
 
+    def _distance(
+        self,
+        source: int,
+        target: int,
+        fail_set: frozenset[Edge],
+        failed_ids: frozenset[int],
+        affected: set[int],
+        repaired: dict[int, tuple],
+        stats: QueryStats,
+        arenas: _ArenaSet,
+    ) -> float:
+        """``d(s, t, F)`` for ``s != t``: the scalar and batch paths' core."""
+        stats.affected_count = len(affected)
+        forward, backward = self._access(
+            source, target, failed_ids, stats, arenas
+        )
         # Locality-filter answer: d_hat(s, t, F) when t lies in s's
         # transit-free region.
-        best = forward.distance(target_index)
-
+        best = forward.distance(backward.source)
         overlay_best = self._overlay_search(
-            forward.access, backward.access, failed_ids, affected, stats,
-            best, arenas.overlay,
+            forward.access, backward.access, failed_ids, affected, repaired,
+            stats, best, arenas,
         )
         if overlay_best < best:
             best = overlay_best
-
         if best == INFINITY and self._fallback is not None:
             # DISO-S safety net: answer exactly on the original graph.
-            fallback_start = time.perf_counter()
             fallback_ids = self._fallback.edge_ids(fail_set)
             best = csr_distance(
                 self._fallback, source, target, fallback_ids, arenas.search
             )
             stats.used_fallback = True
-            stats.total_seconds = time.perf_counter() - started
-            return QueryResult(distance=best, stats=stats)
-
-        stats.total_seconds = time.perf_counter() - started
-        return QueryResult(distance=best, stats=stats)
+        return best
 
     def _overlay_search(
         self,
@@ -387,124 +376,169 @@ class FrozenDISO(DistanceSensitivityOracle):
         into_target: dict[int, float],
         failed_ids: frozenset[int],
         affected: set[int],
+        repaired: dict[int, tuple],
         stats: QueryStats,
         upper_bound: float,
-        arena: SearchArena,
+        arenas: _ArenaSet,
     ) -> float:
-        """The Dijkstra-like procedure on ``D``, in transit-rank space.
+        """Bidirectional Dijkstra on ``D``, in transit-rank space.
 
-        ``seeds`` and ``into_target`` are the access maps in
-        *graph-index* space; both are converted to ranks inline.  The
-        tail distances live in the arena's ``aux``/``done`` lanes, so no
-        per-query dict survives the conversion.
+        The paper's §4.1.3 suggestion, as :class:`~repro.oracle.diso_bi.
+        DISOBidirectional` runs it on the dict index: a forward search
+        from ``s``'s out-access nodes over overlay out-rows and a
+        backward search from ``t``'s in-access nodes over the reverse
+        rows, alternating on the smaller queue top and stopping once
+        ``top_f + top_b`` reaches the best meeting.  ``seeds`` and
+        ``into_target`` are the access maps in graph-index space; each
+        direction keeps its labels in its own rank arena.
+
+        Both directions scan weight-sorted rows and stop at the first
+        candidate that reaches the incumbent.  An affected rank's
+        repaired out-weights are computed by whichever direction needs
+        them first and kept in ``repaired`` as ``rank -> (limit,
+        weights)``: a repair bounded by ``limit`` is exact below it, so
+        it serves every later use whose incumbent is at most ``limit``
+        — the rest of the query, and the next queries of a batch with
+        the same failure set.  A stored weight lower-bounds its repaired
+        one, so the early stop stays safe on their rows too.  Every
+        candidate that pruning skips is at least the final answer, and
+        a label that does not improve meets nothing a better label has
+        not met already, so the answer is the float
+        :class:`DISOBidirectional` returns.
         """
         index = self.index
-        overlay = index.overlay_rank_rows
+        rows_out = index.overlay_rank_rows
+        rows_in = index.overlay_reverse_rows
         min_weight = index.overlay_min_weight
         rank_of = index.rank_of
         push = heappush
         pop = heappop
         best = upper_bound
-        gen = arena.begin()
-        dist = arena.dist
-        seen = arena.seen
-        tails = arena.aux
-        tail_seen = arena.done
+        gen_f = arenas.overlay.begin()
+        dist_f = arenas.overlay.dist
+        seen_f = arenas.overlay.seen
+        gen_b = arenas.overlay_back.begin()
+        dist_b = arenas.overlay_back.dist
+        seen_b = arenas.overlay_back.seen
+        heap_f: list[tuple[float, int]] = []
+        heap_b: list[tuple[float, int]] = []
         for node_index, d in into_target.items():
             rank = rank_of[node_index]
-            tail_seen[rank] = gen
-            tails[rank] = d
-        heap: list[tuple[float, int]] = []
+            seen_b[rank] = gen_b
+            dist_b[rank] = d
+            heap_b.append((d, rank))
         for node_index, d in seeds.items():
             rank = rank_of[node_index]
-            seen[rank] = gen
-            dist[rank] = d
-            push(heap, (d, rank))
-            # Seeding the incumbent with direct seed→tail candidates is
-            # answer-preserving (each is a candidate the search itself
-            # would generate on settling) and arms the pruning below
-            # from the very first pop.
-            if tail_seen[rank] == gen:
-                candidate = d + tails[rank]
-                if candidate < best:
-                    best = candidate
+            seen_f[rank] = gen_f
+            dist_f[rank] = d
+            heap_f.append((d, rank))
+            if seen_b[rank] == gen_b:
+                meeting = d + dist_b[rank]
+                if meeting < best:
+                    best = meeting
+        heap_f.sort()
+        heap_b.sort()
 
-        settled_count = 0
         recompute_seconds = 0.0
-        recomputed_nodes = 0
-        # No ``done`` lane: with strict-improvement pushes every stale
-        # entry satisfies ``d > dist[rank]``, and a settled rank can
-        # never be re-pushed (no relaxation improves on a settled
-        # distance), so the stale test below doubles as the done test.
-        while heap:
-            d, rank = pop(heap)
-            if d >= best:
+        recomputed = 0
+        settled_count = 0
+        # Strict-improvement pushes make ``d > dist[rank]`` a complete
+        # staleness (and hence settlement) test in either direction.
+        # A label is always recorded (the other direction meets it),
+        # but queued only while it plus the other queue's top is below
+        # the incumbent: queue tops never fall and the incumbent never
+        # rises, so a label that fails the test could only be popped
+        # after the stop test below has already ended the search.
+        while heap_f or heap_b:
+            top_f = heap_f[0][0] if heap_f else INFINITY
+            top_b = heap_b[0][0] if heap_b else INFINITY
+            if top_f + top_b >= best:
                 break
-            if d > dist[rank]:
-                continue
-            settled_count += 1
-            if tail_seen[rank] == gen:
-                candidate = d + tails[rank]
-                if candidate < best:
-                    best = candidate
-            if rank in affected:
-                # A repaired weight is a shortest path in a subgraph, so
-                # it never undercuts the stored one: when even the
-                # lightest stored edge cannot beat the incumbent, no
-                # fresh edge can either — skip the repair outright.
-                if d + min_weight[rank] >= best:
+            if top_f <= top_b:
+                d, rank = pop(heap_f)
+                if d > dist_f[rank]:
                     continue
-                tick = time.perf_counter()
-                changed = index.recomputed_out_weights(
-                    rank, failed_ids, d, best
-                )
-                recompute_seconds += time.perf_counter() - tick
-                recomputed_nodes += 1
-                if changed:
-                    # Scan the stored weight-sorted row, patching the
-                    # few heads the repair actually moved.  The stored
-                    # weight lower-bounds the repaired one, so breaking
-                    # on it is still safe; a patched head just falls
-                    # back to a skip when its fresh weight no longer
-                    # beats the incumbent.
-                    changed_get = changed.get
-                    for head, weight in overlay[rank]:
-                        candidate = d + weight
-                        if candidate >= best:
-                            break
-                        patched = changed_get(head)
+                settled_count += 1
+                changed = None
+                if rank in affected:
+                    # A repaired weight never undercuts the stored one,
+                    # so when even the lightest stored edge cannot beat
+                    # the incumbent, neither can any repaired edge.
+                    if d + min_weight[rank] >= best:
+                        continue
+                    entry = repaired.get(rank)
+                    if entry is not None and entry[0] >= best:
+                        changed = entry[1]
+                    else:
+                        tick = time.perf_counter()
+                        changed = index.recomputed_out_weights(
+                            rank, failed_ids, best
+                        )
+                        repaired[rank] = (best, changed)
+                        recompute_seconds += time.perf_counter() - tick
+                        recomputed += 1
+                for head, weight in rows_out[rank]:
+                    candidate = d + weight
+                    if candidate >= best:
+                        break
+                    if changed:
+                        patched = changed.get(head)
                         if patched is not None:
                             candidate = d + patched
                             if candidate >= best:
                                 continue
-                        if seen[head] != gen:
-                            seen[head] = gen
-                            dist[head] = candidate
-                            push(heap, (candidate, head))
-                        elif candidate < dist[head]:
-                            dist[head] = candidate
-                            push(heap, (candidate, head))
+                    if seen_f[head] != gen_f:
+                        seen_f[head] = gen_f
+                    elif candidate >= dist_f[head]:
+                        continue
+                    dist_f[head] = candidate
+                    if candidate + top_b < best:
+                        push(heap_f, (candidate, head))
+                    if seen_b[head] == gen_b:
+                        meeting = candidate + dist_b[head]
+                        if meeting < best:
+                            best = meeting
+            else:
+                d, rank = pop(heap_b)
+                if d > dist_b[rank]:
                     continue
-                # ``{}``/``None``: no surviving head moved — the stored
-                # row is exact; fall through to the common scan.
-            rows = overlay[rank]
-            for head, weight in rows:
-                candidate = d + weight
-                # Rows are weight-sorted, so the first relaxation that
-                # reaches the incumbent bound ends the scan: every later
-                # edge is at least as heavy and tails are non-negative.
-                if candidate >= best:
-                    break
-                if seen[head] != gen:
-                    seen[head] = gen
-                    dist[head] = candidate
-                    push(heap, (candidate, head))
-                elif candidate < dist[head]:
-                    dist[head] = candidate
-                    push(heap, (candidate, head))
+                settled_count += 1
+                for tail, weight in rows_in[rank]:
+                    candidate = d + weight
+                    if candidate >= best:
+                        break
+                    if tail in affected:
+                        entry = repaired.get(tail)
+                        if entry is not None and entry[0] >= best:
+                            changed = entry[1]
+                        else:
+                            tick = time.perf_counter()
+                            changed = index.recomputed_out_weights(
+                                tail, failed_ids, best
+                            )
+                            repaired[tail] = (best, changed)
+                            recompute_seconds += time.perf_counter() - tick
+                            recomputed += 1
+                        if changed:
+                            patched = changed.get(rank)
+                            if patched is not None:
+                                candidate = d + patched
+                                if candidate >= best:
+                                    continue
+                    if seen_b[tail] != gen_b:
+                        seen_b[tail] = gen_b
+                    elif candidate >= dist_b[tail]:
+                        continue
+                    dist_b[tail] = candidate
+                    if top_f + candidate < best:
+                        push(heap_b, (candidate, tail))
+                    if seen_f[tail] == gen_f:
+                        meeting = candidate + dist_f[tail]
+                        if meeting < best:
+                            best = meeting
         stats.overlay_settled += settled_count
         stats.recompute_seconds += recompute_seconds
-        stats.recomputed_nodes += recomputed_nodes
+        stats.recomputed_nodes += recomputed
         return best
 
     # ------------------------------------------------------------------
@@ -589,13 +623,6 @@ class FrozenADISO(FrozenDISO):
     edges exactly as in the dict engine (improved lazy recomputation).
     """
 
-    #: The merged A* search's float association order depends on the
-    #: query state (seed-vs-overlay arrival order decides which partial
-    #: sums get added first), so the batched Bellman-Ford overlay
-    #: kernel cannot match its answers bitwise — ADISO/ADISO-P batches
-    #: keep the scalar per-query path (see ``_batched_overlay`` docs).
-    _batched_overlay = False
-
     def __init__(self, oracle) -> None:
         super().__init__(oracle)
         started = time.perf_counter()
@@ -617,55 +644,33 @@ class FrozenADISO(FrozenDISO):
         oracle._landmark_entries = landmark_entries
         return oracle
 
-    def query_detailed(
+    def _distance(
         self,
         source: int,
         target: int,
-        failed: set[Edge] | frozenset[Edge] | None = None,
-    ) -> QueryResult:
-        self._validate_endpoints(source, target)
-        fail_set = normalize_failures(failed)
-        stats = QueryStats()
-        started = time.perf_counter()
-        if source == target:
-            stats.total_seconds = time.perf_counter() - started
-            return QueryResult(distance=0.0, stats=stats)
-
-        arenas = self._arenas()
-        frozen = self.frozen
-        index = self.index
-        failed_ids = frozen.edge_ids(fail_set) if fail_set else frozenset()
-        affected_ranks = index.affected_ranks(failed_ids)
-        stats.affected_count = len(affected_ranks)
-
-        source_index = frozen.index_of[source]
-        target_index = frozen.index_of[target]
-        access_start = time.perf_counter()
-        forward = csr_bounded_dijkstra(
-            frozen, source_index, index.transit_flags, failed_ids,
-            "out", arenas.forward,
+        fail_set: frozenset[Edge],
+        failed_ids: frozenset[int],
+        affected: set[int],
+        repaired: dict[int, tuple],
+        stats: QueryStats,
+        arenas: _ArenaSet,
+    ) -> float:
+        stats.affected_count = len(affected)
+        forward, backward = self._access(
+            source, target, failed_ids, stats, arenas
         )
-        backward = csr_bounded_dijkstra(
-            frozen, target_index, index.transit_flags, failed_ids,
-            "in", arenas.backward,
-        )
-        stats.access_seconds = time.perf_counter() - access_start
-        stats.graph_settled += forward.settled_count + backward.settled_count
-
-        local = forward.distance(target_index)
+        local = forward.distance(backward.source)
         overlay = self._merged_search(
             forward.access,
             backward.access,
             failed_ids,
-            affected_ranks,
-            target_index,
+            affected,
+            backward.source,
             stats,
             local,
             arenas.search,
         )
-        best = min(local, overlay)
-        stats.total_seconds = time.perf_counter() - started
-        return QueryResult(distance=best, stats=stats)
+        return min(local, overlay)
 
     def _merged_search(
         self,

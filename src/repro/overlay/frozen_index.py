@@ -59,6 +59,13 @@ def _node_row(rows) -> tuple[tuple[int, float], ...]:
     return tuple((head_index, weight) for _, head_index, weight in rows)
 
 
+def _reverse_key(entry: tuple[int, float]) -> tuple[float, int]:
+    # Reverse rows are ordered by (weight, tail rank): weight-sorted for
+    # the backward search's early stop, and one canonical order for
+    # ties, so a row patched in place equals a freshly built one.
+    return (entry[1], entry[0])
+
+
 class FrozenTree:
     """One bounded shortest path tree flattened to preorder lanes.
 
@@ -215,6 +222,11 @@ class FrozenIndex:
     overlay_head_ranks:
         Per rank, the frozenset of out-neighbour ranks (the surviving-
         edge filter for lazy recomputation).
+    overlay_reverse_rows:
+        Per head rank, a list of ``(tail_rank, weight)`` pairs of its
+        overlay in-edges, ordered by ``(weight, tail_rank)`` — what the
+        backward half of the overlay search scans.  Built from
+        ``overlay`` with the other views, never stored in a snapshot.
     inverted:
         ``{edge_id: (affected_ranks...)}`` — the inverted tree index,
         ranks ascending.
@@ -232,6 +244,7 @@ class FrozenIndex:
         "overlay_node_rows",
         "overlay_min_weight",
         "overlay_head_ranks",
+        "overlay_reverse_rows",
         "inverted",
         "trees",
     )
@@ -264,6 +277,7 @@ class FrozenIndex:
         self.overlay_node_rows: list | None = None
         self.overlay_min_weight: list[float] | None = None
         self.overlay_head_ranks: list[frozenset[int]] | None = None
+        self.overlay_reverse_rows: list[list[tuple[int, float]]] | None = None
         self.inverted: dict[int, tuple[int, ...]] | None = None
 
     def build_views(self) -> None:
@@ -287,6 +301,13 @@ class FrozenIndex:
         self.overlay_head_ranks = [
             frozenset(row[0] for row in rows) for rows in overlay
         ]
+        reverse: list[list[tuple[int, float]]] = [[] for _ in overlay]
+        for tail, rows in enumerate(overlay):
+            for head_rank, _, weight in rows:
+                reverse[head_rank].append((tail, weight))
+        for row in reverse:
+            row.sort(key=_reverse_key)
+        self.overlay_reverse_rows = reverse
         members: dict[int, list[int]] = {}
         for rank, tree in enumerate(self.trees):
             if tree.edge_pos is None:
@@ -360,12 +381,15 @@ class FrozenIndex:
         """Install ``{rank: (tree, overlay_row)}`` in place.
 
         The views are built first and kept in step; the inverted
-        entries keep ascending rank order, as a fresh build makes them.
-        The transit set is unchanged.
+        entries keep ascending rank order and the reverse rows their
+        ``(weight, tail_rank)`` order, as a fresh build makes them.  Only
+        the reverse rows of a replaced rank's old and new heads are
+        touched.  The transit set is unchanged.
         """
         self.build_views()
         inverted = self.inverted
         rank_rows = self.overlay_rank_rows
+        reverse = self.overlay_reverse_rows
         for rank in sorted(updates):
             tree, rows = updates[rank]
             tree.bind(self.rank_of, self.transit_flags)
@@ -383,6 +407,10 @@ class FrozenIndex:
                 insort(ranks, rank)
                 inverted[edge_ids[pos]] = tuple(ranks)
             self.trees[rank] = tree
+            for head_rank, _, weight in self.overlay[rank]:
+                reverse[head_rank].remove((rank, weight))
+            for head_rank, _, weight in rows:
+                insort(reverse[head_rank], (rank, weight), key=_reverse_key)
             self.overlay[rank] = rows
             rank_rows[rank] = _rank_row(rows)
             self.overlay_node_rows[rank] = _node_row(rows)
@@ -414,9 +442,7 @@ class FrozenIndex:
         self,
         rank: int,
         failed_edge_ids: frozenset[int] | set[int],
-        base: float = 0.0,
         limit: float = INFINITY,
-        hits: list[int] | None = None,
     ) -> dict[int, float] | None:
         """Repaired overlay out-edge weights of ``rank`` under failures.
 
@@ -435,28 +461,22 @@ class FrozenIndex:
         surviving entry edges, repair with a Dijkstra confined to the
         affected set, never expanding non-root transit nodes.
 
-        ``base``/``limit`` let the overlay search thread its incumbent
-        bound into the repair: any label ``d`` with ``base + d >= limit``
-        is dropped.  This is answer-preserving — along a shortest path
-        labels only grow (non-negative weights) and float addition is
-        monotone, so every head whose fresh weight the caller could still
-        use keeps exactly the value an unbounded repair would compute;
-        dropped heads read ``INFINITY``, which the caller would have
-        discarded against the incumbent anyway.
-
-        ``hits`` lets a caller that already mapped the failures to tree
-        positions (the batch kernel does, for its no-op precheck) skip
-        the second lookup; it must equal the positions this method
-        would derive itself.
+        ``limit`` lets the overlay search thread its incumbent bound
+        into the repair: any label ``d >= limit`` is dropped.  This is
+        answer-preserving — along a shortest path labels only grow
+        (non-negative weights) and float addition is monotone, so every
+        head whose fresh weight could still beat the incumbent keeps
+        exactly the value an unbounded repair would compute; dropped
+        heads read ``INFINITY``, which the caller would have discarded
+        against the incumbent anyway.
         """
         tree = self.trees[rank]
         edge_pos = tree.edge_pos
-        if hits is None:
-            hits = [  # dsolint: disable=DSO101 -- consumed solely through sorted(hits) below
-                edge_pos[edge_id]
-                for edge_id in failed_edge_ids
-                if edge_id in edge_pos
-            ]
+        hits = [  # dsolint: disable=DSO101 -- consumed solely through sorted(hits) below
+            edge_pos[edge_id]
+            for edge_id in failed_edge_ids
+            if edge_id in edge_pos
+        ]
         if not hits:
             return None
         order = tree.order
@@ -505,7 +525,7 @@ class FrozenIndex:
                 candidate = stored[pred_pos] + weight
                 if candidate < best:
                     best = candidate
-            if best < INFINITY and base + best < limit:
+            if best < limit:
                 heappush(heap, (best, node))
                 new_dist[node] = best
 
@@ -525,7 +545,7 @@ class FrozenIndex:
                 if edge_id in failed_edge_ids:
                     continue
                 candidate = d + weight
-                if base + candidate >= limit:
+                if candidate >= limit:
                     continue
                 if candidate < new_dist.get(head, INFINITY):
                     new_dist[head] = candidate

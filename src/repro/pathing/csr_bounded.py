@@ -175,67 +175,3 @@ def csr_bounded_dijkstra(
         generation=gen,
     )
 
-
-def csr_access_batch(
-    frozen: FrozenGraph,
-    prepared: list[tuple[int, int, frozenset[int]]],
-    transit_flags: bytearray,
-    rank_of: list[int],
-    num_transit: int,
-    forward_arena: SearchArena | None = None,
-    backward_arena: SearchArena | None = None,
-) -> tuple[
-    tuple[list[int], list[int], list[float]],
-    tuple[list[int], list[float]],
-    list[float],
-]:
-    """Run both access-phase searches for a whole batch, packed flat.
-
-    The batched overlay kernel (:mod:`repro.oracle.batch_kernel`) wants
-    its seeds and tails as parallel flat lists it can turn into arrays
-    in one shot, not as ``len(prepared) * 2`` little dicts.  This runs
-    the same :func:`csr_bounded_dijkstra` per query — access distances
-    stay bitwise-identical to the scalar path — and only changes the
-    packaging:
-
-    * ``seeds``: ``(query_positions, ranks, distances)`` of every
-      forward access node, in *transit-rank* space;
-    * ``tails``: ``(keys, distances)`` of every backward access node,
-      keyed ``query_position * num_transit + rank`` — the kernel's
-      per-(query, rank) key space;
-    * ``upper``: the locality-filter answer ``d_fwd(t)`` per query
-      (``inf`` when the target is outside the source's transit-free
-      region).
-
-    ``prepared`` holds ``(source_index, target_index, failed_edge_ids)``
-    triples in dense index space; both arenas are reused across the
-    whole batch, so the batch allocates two heaps per query and nothing
-    else.
-    """
-    seed_queries: list[int] = []
-    seed_ranks: list[int] = []
-    seed_dists: list[float] = []
-    tail_keys: list[int] = []
-    tail_dists: list[float] = []
-    upper: list[float] = []
-    for position, (source, target, failed_ids) in enumerate(prepared):
-        forward = csr_bounded_dijkstra(
-            frozen, source, transit_flags, failed_ids, "out", forward_arena
-        )
-        backward = csr_bounded_dijkstra(
-            frozen, target, transit_flags, failed_ids, "in", backward_arena
-        )
-        upper.append(forward.distance(target))
-        base = position * num_transit
-        for node, distance in forward.access.items():
-            seed_queries.append(position)
-            seed_ranks.append(rank_of[node])
-            seed_dists.append(distance)
-        for node, distance in backward.access.items():
-            tail_keys.append(base + rank_of[node])
-            tail_dists.append(distance)
-    return (
-        (seed_queries, seed_ranks, seed_dists),
-        (tail_keys, tail_dists),
-        upper,
-    )

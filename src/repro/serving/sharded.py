@@ -85,11 +85,7 @@ from repro.serving.service import (
 )
 from repro.serving.worker import QUERY_ERROR
 from repro.sharding.oracle import INFINITY
-from repro.sharding.snapshot import (
-    load_frozen_overlay,
-    load_shard_plan_overlay,
-    load_shard_reach,
-)
+from repro.sharding.snapshot import load_shard_reach, load_sharded_manifest
 
 logger = logging.getLogger(__name__)
 
@@ -198,46 +194,49 @@ class ShardedQueryService:
         if workers_per_shard < 1:
             raise ValueError("workers_per_shard must be >= 1")
         self.snapshot_dir = str(snapshot_dir)
-        # Reads the manifest and closes it again.
-        overlay, meta, shard_paths = load_shard_plan_overlay(
+        # One open and one CRC check of the manifest serve both loads.
+        # The frozen stitch plane keeps the mapping open until stop(),
+        # so it is released here if the rest of the setup raises.
+        overlay, meta, shard_paths, self._frozen = load_sharded_manifest(
             snapshot_dir, verify=verify
         )
-        self._verify = verify
-        self._shard_paths = shard_paths
-        #: Per shard, the failure-free border distances the repair
-        #: planner tests failures against; read on the first start.
-        self._reach = None
-        self.overlay = overlay
-        self.meta = meta
-        self.shards = overlay.parts
-        self.workers_per_shard = workers_per_shard
-        self.cache_size = cache_size
-        self.deadline_ms = deadline_ms
-        self._front = BatchFront(
-            cache_size, deadline_ms=deadline_ms, workers=self.workers,
-            log=logger,
-        )
-        self._services = [
-            QueryService(
-                path,
-                workers=workers_per_shard,
-                start_method=start_method,
-                chunk_size=chunk_size,
-                max_restarts=max_restarts,
-                batch_timeout=batch_timeout,
-                ping_timeout=ping_timeout,
+        try:
+            self._verify = verify
+            self._shard_paths = shard_paths
+            #: Per shard, the failure-free border distances the repair
+            #: planner tests failures against; read on the first start.
+            self._reach = None
+            self.overlay = overlay
+            self.meta = meta
+            self.shards = overlay.parts
+            self.workers_per_shard = workers_per_shard
+            self.cache_size = cache_size
+            self.deadline_ms = deadline_ms
+            self._front = BatchFront(
+                cache_size, deadline_ms=deadline_ms, workers=self.workers,
+                log=logger,
             )
-            for path in shard_paths
-        ]
-        self._started = False
-        #: ``(shard, canonical F_k) -> resolved float rows`` — repaired
-        #: border matrices carried across batches, in recency order.
-        #: Cleared whenever any shard's snapshot epoch retires (the
-        #: rows embed that shard's answers).
-        self._repair_memo: dict[tuple, list[list[float]]] = {}
-        # Last: the mapping this holds open is released only by stop(),
-        # so nothing after it may raise.
-        self._frozen = load_frozen_overlay(snapshot_dir, verify=verify)
+            self._services = [
+                QueryService(
+                    path,
+                    workers=workers_per_shard,
+                    start_method=start_method,
+                    chunk_size=chunk_size,
+                    max_restarts=max_restarts,
+                    batch_timeout=batch_timeout,
+                    ping_timeout=ping_timeout,
+                )
+                for path in shard_paths
+            ]
+            self._started = False
+            #: ``(shard, canonical F_k) -> resolved float rows`` —
+            #: repaired border matrices carried across batches, in
+            #: recency order.  Cleared whenever any shard's snapshot
+            #: epoch retires (the rows embed that shard's answers).
+            self._repair_memo: dict[tuple, list[list[float]]] = {}
+        except BaseException:
+            self._frozen.close()
+            raise
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -89,10 +89,11 @@ def answer_batch(
     hook runs inside the per-query try block, so an injected raise is
     indistinguishable from a poison query.
 
-    Oracles exposing ``answer_many`` (the frozen engines' vectorized
-    batch path, same NaN + ``(position, "ExcType: message")`` error
-    channel) answer the whole batch in one call — the sharded plane's
-    border legs ride this path.  The batch then has one wall-clock
+    Oracles exposing ``answer_many`` (the frozen engines' batch path:
+    the scalar search per query, with each distinct failure set
+    translated once; same NaN + ``(position, "ExcType: message")``
+    error channel) answer the whole batch in one call — the sharded
+    plane's border legs, which share one failure set, ride this path.  The batch then has one wall-clock
     measurement, reported as a uniform per-query mean; fault injection
     forces the scalar loop so ``before_query`` keeps firing per query.
     """

@@ -3,10 +3,9 @@
 The scalar stitcher answers every cross-shard query with a pure
 Python multi-source Dijkstra (:func:`repro.sharding.oracle.
 stitch_over_borders`) plus per-query repaired border rows.  This module
-compiles the :class:`~repro.sharding.oracle.BorderOverlay` into the
-same flat-array form the single-shard hot loop got in
-:mod:`repro.oracle.batch_kernel`, so a dispatcher can stitch a whole
-batch per array operation instead of per heap pop:
+compiles the :class:`~repro.sharding.oracle.BorderOverlay` into NumPy
+CSR lanes, so a dispatcher can stitch a whole batch per array
+operation instead of per heap pop:
 
 * :class:`FrozenOverlay` — the border overlay as one CSR adjacency over
   *dense border ids* (the remap table ``border_ids`` / ``border_shard``
@@ -18,9 +17,9 @@ batch per array operation instead of per heap pop:
   ``dist + 0.0 == dist`` (never an improvement) and an ``inf`` entry
   can never pass the ``candidate < best`` filter.
 * :meth:`FrozenOverlay.stitch_batch` — a multi-source frontier kernel
-  over a ``batch x num_borders`` key space, reusing the batch-kernel
-  idioms (tiled CSR gathers, cumsum edge flattening, scatter-min with
-  winner dedup, incumbent pruning lanes).  All queries in one call
+  over a ``batch x num_borders`` key space (tiled CSR gathers, cumsum
+  edge flattening, scatter-min with winner dedup, incumbent pruning
+  lanes).  All queries in one call
   share a single *patch* — repaired type-2 blocks and failed cross
   edges — which is exactly how the sharded dispatcher groups them.
 * :func:`compute_border_closure` — the failure-free all-pairs
@@ -409,7 +408,7 @@ class FrozenOverlay:
                 candidate = candidate[improved]
             else:
                 head_key = frontier[:0]
-            # Scatter-min, winner dedup, tail arming — batch-kernel form.
+            # Scatter-min, winner dedup, tail arming.
             if head_key.size:
                 np.minimum.at(dist, head_key, candidate)
                 new_dist = dist[head_key]

@@ -151,51 +151,11 @@ def load_shard_plan_overlay(
     the caller's memory footprint is the overlay (assignment + borders +
     matrices + cross edges), not the index.
     """
-    source = Path(source)
-    base = source if source.is_dir() else source.parent
     reader = _open_manifest(source, verify=verify)
     try:
-        meta = dict(reader.meta)
-        parts = int(meta["parts"])
-        nodes = reader.section("assignment.nodes")
-        owners = reader.section("assignment.parts")
-        assignment = {
-            int(node): int(owner) for node, owner in zip(nodes, owners)
-        }
-        shard_borders = []
-        border_matrices = []
-        for shard in range(parts):
-            borders = tuple(
-                int(b) for b in reader.section(f"shard{shard}.borders")
-            )
-            flat = reader.section(f"shard{shard}.matrix")
-            width = len(borders)
-            if len(flat) != width * width:
-                raise FormatError(
-                    f"{source}: shard {shard} matrix has {len(flat)} "
-                    f"entries, expected {width * width}"
-                )
-            shard_borders.append(borders)
-            border_matrices.append(
-                [
-                    list(flat[i * width : (i + 1) * width])
-                    for i in range(width)
-                ]
-            )
-        cross_edges = list(
-            zip(
-                (int(t) for t in reader.section("cross.tails")),
-                (int(h) for h in reader.section("cross.heads")),
-                reader.section("cross.weights"),
-            )
-        )
+        return _plan_overlay(reader, source)
     finally:
         reader.close()
-    overlay = BorderOverlay(
-        assignment, tuple(shard_borders), cross_edges, border_matrices
-    )
-    shard_paths = [base / name for name in meta["shard_files"]]
-    return overlay, meta, shard_paths
 
 
 def load_frozen_overlay(
@@ -210,10 +170,85 @@ def load_frozen_overlay(
     predating the sections fall back to an in-memory compile (closure
     included).
     """
+    return _frozen_overlay(_open_manifest(source, verify=verify), source)
+
+
+def load_sharded_manifest(
+    source: str | Path, verify: bool = True
+) -> tuple[BorderOverlay, dict, list[Path], FrozenOverlay]:
+    """Both dispatcher loads from one open (and one CRC check) of the
+    manifest: what :func:`load_shard_plan_overlay` and
+    :func:`load_frozen_overlay` return, in that order."""
     reader = _open_manifest(source, verify=verify)
-    if not reader.has_section("frozen.offsets"):
+    try:
+        overlay, meta, shard_paths = _plan_overlay(reader, source)
+    except Exception:
         reader.close()
-        overlay, _, _ = load_shard_plan_overlay(source, verify=verify)
+        raise
+    return overlay, meta, shard_paths, _frozen_overlay(reader, source)
+
+
+def _plan_overlay(
+    reader: SnapshotReader, source: str | Path
+) -> tuple[BorderOverlay, dict, list[Path]]:
+    """The plan overlay from an open manifest, as private copies."""
+    source = Path(source)
+    base = source if source.is_dir() else source.parent
+    meta = dict(reader.meta)
+    parts = int(meta["parts"])
+    nodes = reader.section("assignment.nodes")
+    owners = reader.section("assignment.parts")
+    assignment = {
+        int(node): int(owner) for node, owner in zip(nodes, owners)
+    }
+    shard_borders = []
+    border_matrices = []
+    for shard in range(parts):
+        borders = tuple(
+            int(b) for b in reader.section(f"shard{shard}.borders")
+        )
+        flat = reader.section(f"shard{shard}.matrix")
+        width = len(borders)
+        if len(flat) != width * width:
+            raise FormatError(
+                f"{source}: shard {shard} matrix has {len(flat)} "
+                f"entries, expected {width * width}"
+            )
+        shard_borders.append(borders)
+        border_matrices.append(
+            [
+                list(flat[i * width : (i + 1) * width])
+                for i in range(width)
+            ]
+        )
+    cross_edges = list(
+        zip(
+            (int(t) for t in reader.section("cross.tails")),
+            (int(h) for h in reader.section("cross.heads")),
+            reader.section("cross.weights"),
+        )
+    )
+    overlay = BorderOverlay(
+        assignment, tuple(shard_borders), cross_edges, border_matrices
+    )
+    shard_paths = [base / name for name in meta["shard_files"]]
+    return overlay, meta, shard_paths
+
+
+def _frozen_overlay(
+    reader: SnapshotReader, source: str | Path
+) -> FrozenOverlay:
+    """The frozen stitch plane over an open manifest.
+
+    Takes ownership of ``reader``: the returned overlay holds it (or it
+    is closed here when the manifest has no ``frozen.*`` sections or
+    reading them fails).
+    """
+    if not reader.has_section("frozen.offsets"):
+        try:
+            overlay, _, _ = _plan_overlay(reader, source)
+        finally:
+            reader.close()
         return FrozenOverlay.from_overlay(overlay, compute_closure=True)
     try:
         border_ids = np.asarray(reader.section("borders.all"))

@@ -1,14 +1,13 @@
-"""The vectorized batch plane must agree bitwise with the scalar loop.
+"""The batch plane must agree bitwise with the scalar loop.
 
-``query_many`` / ``answer_many`` are only allowed to be *fast* — every
-answer must be the exact float the scalar ``query`` loop returns, for
-all four frozen families (DISO, ADISO, DISO-S, ADISO-P), with and
-without failure sets, at the edges (empty batch, single query,
-unreachable pairs) and under per-query poison (invalid endpoints inside
-an otherwise healthy batch).  ADISO has no batched kernel (its merged
-A* is query-state dependent) so its batches take the scalar loop — the
-parity property is the same either way, which is exactly why the tests
-run the one contract across all families.
+``query_many`` / ``answer_many`` run the scalar search per query and
+share only the failure translation between queries with the same
+failure set, so every answer must be the exact float the scalar
+``query`` loop returns, for all four frozen families (DISO, ADISO,
+DISO-S, ADISO-P), with and without failure sets, at the edges (empty
+batch, single query, unreachable pairs), across batches that mix
+failure sets, and under per-query poison (invalid endpoints inside an
+otherwise healthy batch).
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from repro.oracle.adiso_p import ADISOPartial
 from repro.oracle.base import INFINITY
 from repro.oracle.batch import as_query_triple, query_many
 from repro.oracle.diso import DISO
+from repro.oracle.diso_bi import DISOBidirectional
 from repro.oracle.diso_s import DISOSparse
 from repro.workload.queries import Query, generate_queries
 from util import random_failures_from, random_graph
@@ -168,23 +168,42 @@ def test_query_objects_and_triples_agree():
     assert as_query_triple(as_objects[0])[:2] == (1, 14)
 
 
-def test_batch_spans_multiple_kernel_blocks(monkeypatch):
-    # Shrink the kernel block size so a small batch exercises the
-    # multi-block path of ``_answer_many``.
-    import repro.oracle.batch_kernel as batch_kernel
-
+def test_mixed_failure_sets_match_scalar_and_share_state(monkeypatch):
+    # Queries with several failure sets, interleaved: each distinct set
+    # is translated once per batch, and every answer is the scalar one.
     graph = random_graph(10, n=30, extra=60)
     frozen = DISO(graph, tau=3).freeze()
-    batch = generate_queries(graph, 17, f_gen=2, p=0.01, seed=10)
-    expected = scalar_answers(frozen, batch)
-    monkeypatch.setattr(batch_kernel, "DEFAULT_BLOCK", 5)
+    failure_sets = [
+        None,
+        frozenset(random_failures_from(graph, 1, 3)),
+        frozenset(random_failures_from(graph, 2, 5)),
+    ]
+    nodes = sorted(graph.nodes())
+    batch = [
+        (nodes[i % len(nodes)], nodes[(7 * i + 3) % len(nodes)],
+         failure_sets[i % 3])
+        for i in range(24)
+    ]
+    expected = [
+        frozen.query(s, t, frozenset(f) if f else None) for s, t, f in batch
+    ]
+    translated = []
+    original = type(frozen)._failure_state
+
+    def counting(self, fail_set):
+        translated.append(fail_set)
+        return original(self, fail_set)
+
+    monkeypatch.setattr(type(frozen), "_failure_state", counting)
     assert_bitwise(frozen.query_many(batch), expected)
+    assert len(translated) == len(set(translated)) == 3
 
 
 def test_module_level_query_many_on_dict_oracle():
     # Dict engines have no ``query_many``; the module helper loops.
+    # DISO-B is the dict engine whose answers the frozen one equals.
     graph = random_graph(12, n=24, extra=40)
-    oracle = DISO(graph, tau=3)
+    oracle = DISOBidirectional(graph, tau=3)
     frozen = oracle.freeze()
     batch = generate_queries(graph, 8, f_gen=2, seed=12)
     assert query_many(oracle, batch) == scalar_answers(frozen, batch)

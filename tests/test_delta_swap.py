@@ -4,12 +4,13 @@
 ranks)`` message when the new file differs from the served one only in
 edge weights and per-rank trees and overlay rows.  The contract is that
 a patched engine answers bitwise like a fresh ``load_snapshot`` of the
-new file, after any number of deltas.  The sharpest edge is the batch
-kernel's cached repair rows: they bake ``stored[pred] + weight`` in for
-every graph edge inside a tree, so a weight change must drop them even
-for a tree the update did not rebuild.  The scripts below change
-exactly such edges and then fail the tree edge into their head, so a
-stale cache would seed the repair with the old weight.
+new file, after any number of deltas, and holds the same query views —
+the overlay's reverse rows included, which the delta patches in place
+for the heads of the replaced ranks only.  The sharpest edge is a
+weight change inside a tree the update did not rebuild: the repair
+seeds its nodes with ``stored[pred] + weight``.  The scripts below
+change exactly such edges and then fail the tree edge into their head,
+so a repair that read a stale weight would misprice the answer.
 
 Everything else rides along: a crash on the delta is replaced onto the
 new file, a shape change takes the restart path, a corrupt file keeps
@@ -29,7 +30,6 @@ import random
 
 import pytest
 
-from repro.oracle.batch_kernel import DisoBatchKernel
 from repro.oracle.diso import DISO
 from repro.oracle.maintenance import OracleMaintainer
 from repro.oracle.snapshot import (
@@ -65,8 +65,8 @@ def hexes(values) -> list[str]:
 
 
 def trap_queries(engine) -> tuple[list[tuple[int, int]], list[Query]]:
-    """Edges a stale repair-row cache would misprice, and queries that
-    read them.
+    """Edges a repair that read stale weights would misprice, and
+    queries that read them.
 
     A trap edge ``(u, v)`` lies inside the tree of some root ``R``
     without being one of its tree edges.  Each query starts at ``R``,
@@ -150,12 +150,9 @@ class TestApplyDelta:
         with load_snapshot(script.paths[0]) as engine:
             engine.index.build_views()
             batch = script.batch
-            # Warm every cache the kernel keeps, with the old weights.
             assert hexes(engine.query_many(batch)) == expected_answers(
                 script.paths[0], batch
             )
-            kernel = engine._batch_kernel()
-            warmed = set(kernel._repair_rows_cache)
             untouched_hit = False
             for _ in range(3):
                 script.step()
@@ -173,14 +170,14 @@ class TestApplyDelta:
                 untouched_hit |= any(
                     rank not in ranks
                     and any(
-                        tail in engine.index.trees[rank].pos_of
-                        and head in engine.index.trees[rank].pos_of
+                        tail in tree.pos_of and head in tree.pos_of
                         for tail, head in ends
                     )
-                    for rank in warmed
+                    for rank, tree in enumerate(engine.index.trees)
                 )
                 apply_snapshot_delta(engine, new, edge_ids, ranks)
                 with load_snapshot(new) as fresh:
+                    fresh.index.build_views()
                     assert hexes(engine.query_many(batch)) == hexes(
                         fresh.query_many(batch)
                     )
@@ -191,16 +188,56 @@ class TestApplyDelta:
                         fresh.query(q.source, q.target, q.failed)
                         for q in batch
                     )
-                    # Every repair row still cached is the one a fresh
-                    # kernel builds from the new file.
-                    rebuilt = DisoBatchKernel(fresh.frozen, fresh.index)
-                    for rank, rows in kernel._repair_rows_cache.items():
-                        assert rows == rebuilt._repair_rows(rank), rank
-                    assert engine.index.inverted == fresh.index.inverted
-                warmed |= set(kernel._repair_rows_cache)
+                    # The views the overlay search reads, the reverse
+                    # rows patched in place among them, are the ones a
+                    # fresh load builds (== on floats: bitwise here).
+                    for view in (
+                        "overlay_rank_rows", "overlay_reverse_rows",
+                        "overlay_min_weight", "overlay_head_ranks",
+                        "inverted",
+                    ):
+                        assert getattr(engine.index, view) == getattr(
+                            fresh.index, view
+                        ), view
             # The script did reach the trap: a changed edge inside a
-            # cached tree that no delta rebuilt.
+            # tree that no delta rebuilt.
             assert untouched_hit
+
+    def test_delta_patches_only_the_changed_heads_reverse_rows(
+        self, tmp_path
+    ):
+        script = Script(tmp_path, 3)
+        script.step()
+        old, new = script.paths
+        with load_snapshot(old) as engine:
+            engine.index.build_views()
+            reverse = engine.index.overlay_reverse_rows
+            before = [list(row) for row in reverse]
+            row_objects = [id(row) for row in reverse]
+            with_old, with_new = SnapshotReader(old), SnapshotReader(new)
+            try:
+                edge_ids, ranks = snapshot_delta(with_old, with_new)
+            finally:
+                with_old.close()
+                with_new.close()
+            heads = {
+                head
+                for rank in ranks
+                for head, _, _ in engine.index.overlay[rank]
+            }
+            apply_snapshot_delta(engine, new, edge_ids, ranks)
+            heads |= {
+                head
+                for rank in ranks
+                for head, _, _ in engine.index.overlay[rank]
+            }
+            assert ranks and heads
+            # Patched in place: the same list objects, and every row
+            # outside the replaced ranks' heads untouched.
+            assert [id(row) for row in reverse] == row_objects
+            for head, row in enumerate(reverse):
+                if head not in heads:
+                    assert row == before[head], head
 
     def test_shape_change_has_no_delta(self, tmp_path):
         script = Script(tmp_path, 5)

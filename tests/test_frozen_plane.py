@@ -1,8 +1,12 @@
 """The frozen query plane must agree exactly with the dict engines.
 
 The contract of ``freeze()`` is bitwise answer parity: the compiled
-engines perform the same float additions in the same order as the dict
-engines, so distances are ``==``-equal, not just approximately equal.
+engines perform the same float additions as their dict reference, so
+distances are ``==``-equal, not just approximately equal.  A frozen
+DISO or DISO-S engine runs the bidirectional overlay search, so its
+reference is :class:`DISOBidirectional` (or the DISO-S variant with that
+search) over the same transit set; frozen ADISO's is :class:`ADISO`.
+On integer weights every frozen answer also equals Dijkstra exactly.
 These tests sweep randomized graphs, endpoints and failure sets —
 including failures inside stored trees, disconnecting cuts and s == t —
 plus the bounded-search substrate, arena reuse, and the no-locking
@@ -12,7 +16,9 @@ concurrency claim.
 from __future__ import annotations
 
 import random
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +28,7 @@ from repro.graph.csr import FrozenGraph, SearchArena, csr_dijkstra
 from repro.graph.digraph import DiGraph
 from repro.oracle.adiso import ADISO
 from repro.oracle.diso import DISO
+from repro.oracle.diso_bi import DISOBidirectional
 from repro.oracle.diso_s import DISOSparse
 from repro.oracle.frozen import FrozenADISO, FrozenDISO
 from repro.oracle.maintenance import OracleMaintainer
@@ -29,9 +36,15 @@ from repro.oracle.snapshot import load_snapshot, save_snapshot
 from repro.oracle.parallel import QueryEngine
 from repro.pathing.bounded import bounded_dijkstra
 from repro.pathing.csr_bounded import csr_bounded_dijkstra
+from repro.pathing.dijkstra import shortest_distance
 from repro.pathing.spt import INFINITY
 from repro.workload.queries import Query
-from util import random_failures_from, random_graph
+from util import (
+    DISOSparseBidirectional,
+    exact_random_graph,
+    random_failures_from,
+    random_graph,
+)
 
 
 def _random_cases(graph, seed: int, count: int):
@@ -45,6 +58,12 @@ def _random_cases(graph, seed: int, count: int):
         k = rng.randint(0, 6)
         failed = set(rng.sample(edges, k)) if k else None
         yield source, target, failed
+
+
+def bidirectional(oracle: DISO) -> DISOBidirectional:
+    """DISO-B over ``oracle``'s graph and transit set: the dict oracle
+    whose answers a frozen DISO engine equals bitwise."""
+    return DISOBidirectional(oracle.graph, transit=oracle.transit)
 
 
 class TestBoundedSearchParity:
@@ -121,14 +140,25 @@ class TestFrozenDISOParity:
         graph = random_graph(seed)
         oracle = DISO(graph, tau=3, theta=1.0)
         frozen = oracle.freeze()
+        reference = bidirectional(oracle)
         for source, target, failed in _random_cases(graph, seed, 24):
-            expected = oracle.query(source, target, failed=failed)
+            expected = reference.query(source, target, failed=failed)
+            assert frozen.query(source, target, failed=failed) == expected
+
+    @given(seed=st.integers(min_value=0, max_value=30))
+    @settings(max_examples=12, deadline=None)
+    def test_integer_weights_equal_dijkstra(self, seed):
+        graph = exact_random_graph(seed)
+        frozen = DISO(graph, tau=3, theta=1.0).freeze()
+        for source, target, failed in _random_cases(graph, seed, 24):
+            expected = shortest_distance(graph, source, target, failed)
             assert frozen.query(source, target, failed=failed) == expected
 
     def test_failures_inside_stored_trees(self):
         graph = random_graph(11)
         oracle = DISO(graph, tau=3, theta=1.0)
         frozen = oracle.freeze()
+        reference = bidirectional(oracle)
         # Failure sets drawn from stored tree edges, so every query
         # exercises the lazy recompute path.
         tree_edges = sorted(
@@ -144,7 +174,7 @@ class TestFrozenDISOParity:
         for _ in range(40):
             failed = set(rng.sample(tree_edges, min(4, len(tree_edges))))
             source, target = rng.choice(nodes), rng.choice(nodes)
-            expected = oracle.query(source, target, failed=failed)
+            expected = reference.query(source, target, failed=failed)
             got = frozen.query(source, target, failed=failed)
             assert got == expected
 
@@ -177,7 +207,8 @@ class TestFrozenDISOParity:
         first = [frozen.query(s, t, failed=f) for s, t, f in cases]
         second = [frozen.query(s, t, failed=f) for s, t, f in cases]
         assert first == second
-        expected = [oracle.query(s, t, failed=f) for s, t, f in cases]
+        reference = bidirectional(oracle)
+        expected = [reference.query(s, t, failed=f) for s, t, f in cases]
         assert first == expected
 
     def test_name_and_metadata(self):
@@ -189,6 +220,76 @@ class TestFrozenDISOParity:
         assert frozen.exact
         assert frozen.freeze_seconds > 0.0
         assert frozen.preprocess_seconds >= oracle.preprocess_seconds
+
+
+class TestEveryFrozenPathEqualsDISOB:
+    """Scalar, batch, snapshot-loaded and delta-swapped engines all
+    equal the dict DISO-B bitwise on float weights."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        changes=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_random_graphs_and_failure_sets(self, seed, changes):
+        from repro.oracle.snapshot import (
+            SnapshotReader,
+            apply_snapshot_delta,
+            snapshot_delta,
+        )
+
+        graph = random_graph(seed, n=28, extra=70)
+        oracle = DISOBidirectional(graph, tau=3, theta=1.0)
+        cases = list(_random_cases(graph, seed, 20))
+
+        def expected() -> list[str]:
+            return [
+                oracle.query(s, t, failed=f).hex() for s, t, f in cases
+            ]
+
+        def answers(engine) -> tuple[list[str], list[str]]:
+            scalar = [
+                engine.query(s, t, failed=f).hex() for s, t, f in cases
+            ]
+            batch, errors = engine.answer_many(cases)
+            assert errors == []
+            # One failure set for the whole batch: repaired rows are
+            # shared between its queries.
+            shared = [(s, t, cases[1][2]) for s, t, _ in cases]
+            together, errors = engine.answer_many(shared)
+            assert errors == []
+            assert [value.hex() for value in together] == [
+                oracle.query(s, t, failed=f).hex() for s, t, f in shared
+            ]
+            return scalar, [value.hex() for value in batch]
+
+        with tempfile.TemporaryDirectory(prefix="dso-bi-") as tmp:
+            before = save_snapshot(oracle.freeze(), Path(tmp) / "a.dsosnap")
+            assert answers(oracle.freeze()) == (expected(), expected())
+            with load_snapshot(before) as loaded:
+                assert answers(loaded) == (expected(), expected())
+
+                rng = random.Random(seed)
+                maintainer = OracleMaintainer(oracle)
+                for tail, head, weight in rng.sample(
+                    sorted(graph.edges()), changes
+                ):
+                    maintainer.change_weight(
+                        tail, head, weight * rng.choice((0.5, 1.5, 3.0))
+                    )
+                after = save_snapshot(
+                    oracle.freeze(), Path(tmp) / "b.dsosnap"
+                )
+                old, new = SnapshotReader(before), SnapshotReader(after)
+                try:
+                    delta = snapshot_delta(old, new)
+                finally:
+                    old.close()
+                    new.close()
+                if isinstance(delta, str):
+                    return  # a transit or shape change has no delta form
+                apply_snapshot_delta(loaded, after, *delta)
+                assert answers(loaded) == (expected(), expected())
 
 
 class TestFrozenEngineOwnsItsGraph:
@@ -279,8 +380,11 @@ class TestFrozenDISOSparseParity:
         graph = random_graph(seed, n=24, extra=40)
         oracle = DISOSparse(graph, beta=2.0, tau=3, theta=1.0)
         frozen = oracle.freeze()
+        reference = DISOSparseBidirectional(
+            graph, beta=2.0, tau=3, theta=1.0, transit=oracle.transit
+        )
         for source, target, failed in _random_cases(graph, seed + 13, 20):
-            expected = oracle.query(source, target, failed=failed)
+            expected = reference.query(source, target, failed=failed)
             assert frozen.query(source, target, failed=failed) == expected
 
 

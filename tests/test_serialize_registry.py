@@ -22,7 +22,11 @@ from repro.oracle.diso import DISO
 from repro.oracle.diso_bi import DISOBidirectional
 from repro.oracle.diso_s import DISOSparse
 from repro.oracle.serialize import load_index, save_index
-from util import random_failures_from, random_graph
+from util import (
+    DISOSparseBidirectional,
+    random_failures_from,
+    random_graph,
+)
 
 
 def _roundtrip(oracle):
@@ -85,9 +89,14 @@ def test_loaded_diso_s_keeps_extras():
         == oracle.overlay_sparsification.removed
     )
     # The restored original graph powers both the Dijkstra safety net
-    # and freeze(); exercise the frozen plane from the loaded object.
+    # and freeze(); exercise the frozen plane from the loaded object
+    # against the dict DISO-S that runs the frozen engine's
+    # bidirectional overlay search.
     frozen = loaded.freeze()
-    _assert_query_parity(oracle, frozen, graph, seed=29, count=10)
+    reference = DISOSparseBidirectional(
+        graph, beta=1.5, tau=3, transit=oracle.transit
+    )
+    _assert_query_parity(reference, frozen, graph, seed=29, count=10)
 
 
 def test_loaded_adiso_p_keeps_second_overlay():

@@ -425,6 +425,45 @@ class TestShardedServing:
             report.cross_shard_ratio, 3
         )
 
+    def test_constructing_opens_the_manifest_once(
+        self, served, monkeypatch
+    ):
+        import repro.sharding.snapshot as sharded_snapshot
+
+        opened = []
+        original = sharded_snapshot._open_manifest
+
+        def counting(source, verify=True):
+            opened.append(verify)
+            return original(source, verify=verify)
+
+        monkeypatch.setattr(sharded_snapshot, "_open_manifest", counting)
+        _, _, target = served
+        service = ShardedQueryService(target, workers_per_shard=1)
+        try:
+            assert opened == [True]
+            assert service.shards == 2
+            assert service._frozen.reader is not None
+        finally:
+            service.stop()
+
+    def test_failed_setup_releases_the_manifest(self, served, monkeypatch):
+        import repro.serving.sharded as sharded
+
+        _, _, target = served
+        loaded = []
+        original = sharded.load_sharded_manifest
+
+        def keep(*args, **kwargs):
+            parts = original(*args, **kwargs)
+            loaded.append(parts[3])
+            return parts
+
+        monkeypatch.setattr(sharded, "load_sharded_manifest", keep)
+        with pytest.raises(ValueError):
+            ShardedQueryService(target, cache_size=-1)
+        assert loaded and loaded[0].reader is None
+
     def test_cross_shard_ratio_counts_cross_queries(self, served):
         graph, build, target = served
         assignment = build.plan.assignment

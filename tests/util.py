@@ -7,7 +7,20 @@ import tempfile
 from pathlib import Path
 
 from repro.graph.digraph import DiGraph
+from repro.oracle.diso_bi import DISOBidirectional
+from repro.oracle.diso_s import DISOSparse
 from repro.oracle.snapshot import save_snapshot
+
+
+class DISOSparseBidirectional(DISOSparse):
+    """DISO-S with DISO-B's bidirectional overlay search.
+
+    The dict reference a frozen DISO-S engine equals bitwise: the frozen
+    overlay search is bidirectional, so on float weights it matches
+    DISO-B's additions, not the forward search of plain DISO-S.
+    """
+
+    _overlay_search = DISOBidirectional._overlay_search
 
 
 def random_graph(seed: int, n: int = 30, extra: int = 60) -> DiGraph:
